@@ -185,7 +185,11 @@ def load() -> Optional[ctypes.CDLL]:
 
     Returns None — after a single per-process warning — when no C
     compiler is available or the build/load fails; every call then runs
-    its scalar definition (:func:`repro.bpu.runner.use_native`).
+    its scalar definition (:func:`repro.bpu.runner.use_native`).  The
+    warning names the line that called the replay, timing, generator or
+    training entry point only when the first load goes through
+    ``use_native``; a first load from anywhere else (a direct call, a
+    ``needs`` probe) is attributed three frames above ``load``.
     """
     global _lib, _load_error
     if _lib is not None:
@@ -209,7 +213,8 @@ def load() -> Optional[ctypes.CDLL]:
             f"native replay kernels unavailable ({_load_error}); "
             "falling back to the scalar replay loop (results are identical)",
             RuntimeWarning,
-            stacklevel=2,
+            # load <- use_native <- entry point <- the line to blame.
+            stacklevel=4,
         )
         return None
 

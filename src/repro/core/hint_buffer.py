@@ -9,7 +9,9 @@ and the online predictor is told not to allocate for the branch.
 :class:`WhisperRuntime` plugs this machinery into the trace-replay runner
 (:mod:`repro.bpu.runner`): ``on_block`` models brhint execution (the
 hints injected into that block are loaded), ``predict`` models the
-parallel probe.
+parallel probe.  An entry's ``predict_rows`` is the batched form of
+its prediction; this runtime and the bufferless
+:class:`TableHintRuntime` call it in their batched pre-passes.
 """
 
 from __future__ import annotations
@@ -45,6 +47,15 @@ class _BufferEntry:
             return False
         hashed = fold_history(history, self.length, op=self.hash_op)
         return bool(self.formula.evaluate(hashed))
+
+    def predict_rows(self, batch, rows: np.ndarray) -> np.ndarray:
+        """:meth:`predict` at conditional rows ``rows`` of a
+        :class:`~repro.bpu.vector.ReplayBatch`, over its hashed-history
+        column."""
+        if self.hint.bias != BIAS_NONE:
+            return np.full(len(rows), self.hint.bias == BIAS_TAKEN)
+        hashed = batch.hashed_column(self.length, self.hash_op)[rows]
+        return np.asarray(self.formula.evaluate_batch(hashed), dtype=bool)
 
     def __call__(self, history: int) -> bool:
         # TableHintRuntime's scalar path calls entries as ``entry(history)``;
@@ -183,24 +194,14 @@ class WhisperRuntime(HintRuntime):
             for pc, load in zip(final_pcs.tolist(), final_loads.tolist())
         )
 
-        # Group probe hits by the load that parked their entry; evaluate
-        # each formula once over its gathered hashed-history column.
+        # Group probe hits by the load that parked their entry; each
+        # entry evaluates once over its gathered rows.
         probes = np.flatnonzero(hit >= 0)
         probes = probes[np.argsort(hit[probes], kind="stable")]
         parked = hit[probes]
         starts = np.flatnonzero(np.diff(parked, prepend=-1))
         for load, pos in zip(parked[starts].tolist(), np.split(probes, starts[1:])):
-            entry = loads[load][1]
-            bias = entry.hint.bias
-            if bias == BIAS_TAKEN:
-                predictions[pos] = True
-            elif bias == BIAS_NOT_TAKEN:
-                predictions[pos] = False
-            else:
-                hashed = batch.hashed_column(entry.length, entry.hash_op)[pos]
-                predictions[pos] = np.asarray(
-                    entry.formula.evaluate_batch(hashed), dtype=bool
-                )
+            predictions[pos] = loads[load][1].predict_rows(batch, pos)
         hinted[probes] = True
         return hinted, predictions
 
@@ -210,7 +211,9 @@ class TableHintRuntime(HintRuntime):
 
     Models schemes that annotate branch instructions directly — the ROMBF
     baseline, and Whisper's infinite-buffer ablation.  ``table`` maps a
-    branch PC to a predictor callable ``(history:int) -> bool``.
+    branch PC to a predictor callable ``(history:int) -> bool``; an
+    entry that also has ``predict_rows(batch, rows)`` (a Whisper buffer
+    entry, a ROMBF entry) evaluates in the batched pre-pass.
     """
 
     def __init__(self, table: Dict[int, object]) -> None:
@@ -225,9 +228,9 @@ class TableHintRuntime(HintRuntime):
 
     def predict_batch(self, batch):
         """Vectorised hint pre-pass: the table is stateless, so covered
-        branches are grouped by PC and each entry's formula evaluates in
-        one shot over the matching history column.  Returns ``None`` for
-        entry types without a known batched form: the scalar replay loop
+        branches are grouped by PC and each entry's ``predict_rows``
+        evaluates them in one shot.  Returns ``None`` when an entry has
+        no ``predict_rows`` (a plain callable): the scalar replay loop
         then runs."""
         hinted = np.zeros(batch.n, dtype=bool)
         predictions = np.zeros(batch.n, dtype=bool)
@@ -244,33 +247,9 @@ class TableHintRuntime(HintRuntime):
         sorted_pcs = batch.pcs[sorted_sel]
         boundaries = np.flatnonzero(np.diff(sorted_pcs)) + 1
         for group in np.split(sorted_sel, boundaries):
-            entry = table[int(batch.pcs[group[0]])]
-            if isinstance(entry, _BufferEntry):
-                bias = entry.hint.bias
-                if bias == BIAS_TAKEN:
-                    predictions[group] = True
-                elif bias == BIAS_NOT_TAKEN:
-                    predictions[group] = False
-                else:
-                    hashed = batch.hashed_column(entry.length, entry.hash_op)
-                    predictions[group] = np.asarray(
-                        entry.formula.evaluate_batch(hashed[group]), dtype=bool
-                    )
-            else:
-                # ROMBF-style entries: raw masked history -> formula/bias.
-                formula = getattr(entry, "formula", "missing")
-                mask = getattr(entry, "mask", None)
-                if formula == "missing" or not isinstance(mask, int):
-                    return None
-                n_bits = mask.bit_length()
-                if mask != (1 << n_bits) - 1:
-                    return None
-                if formula is None:
-                    predictions[group] = entry.bias_taken
-                else:
-                    column, _ = batch.raw_history_column(n_bits)
-                    predictions[group] = np.asarray(
-                        formula.evaluate_batch(column[group]), dtype=bool
-                    )
+            predict_rows = getattr(table[int(batch.pcs[group[0]])], "predict_rows", None)
+            if predict_rows is None:
+                return None
+            predictions[group] = predict_rows(batch, group)
             hinted[group] = True
         return hinted, predictions

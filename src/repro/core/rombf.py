@@ -10,8 +10,12 @@ variants.  Tautology/contradiction (always/never-taken) annotations are
 part of the original scheme and are included.
 
 Because the formula space is tiny (``2**(N-1)`` trees), training is an
-exhaustive Algorithm-1 scan; its cost still grows exponentially with
-``N``, which is the training-time story of Fig 16.
+exhaustive, deterministic Algorithm-1 scan (no sampling, so no seed);
+its cost still grows exponentially with ``N``, which is the
+training-time story of Fig 16.  Each annotation is a
+:class:`~repro.core.hint_buffer.TableHintRuntime` entry, which predicts
+one history (``__call__``) or its branch's rows of a replay batch
+(``predict_rows``).
 """
 
 from __future__ import annotations
@@ -102,6 +106,15 @@ class _RombfEntry:
             return self.bias_taken
         return bool(self.formula.evaluate(history & self.mask))
 
+    def predict_rows(self, batch, rows: np.ndarray) -> np.ndarray:
+        """:meth:`__call__` at conditional rows ``rows`` of a
+        :class:`~repro.bpu.vector.ReplayBatch`, over its raw history
+        column."""
+        if self.formula is None:
+            return np.full(len(rows), self.bias_taken)
+        column, _ = batch.raw_history_column(self.mask.bit_length())
+        return np.asarray(self.formula.evaluate_batch(column[rows]), dtype=bool)
+
 
 class RombfOptimizer:
     """Profile-guided trainer for the ROMBF baseline."""
@@ -113,7 +126,6 @@ class RombfOptimizer:
         min_executions: int = 8,
         acceptance_margin: float = 0.75,
         max_candidates: Optional[int] = None,
-        seed: int = 0x201,
     ) -> None:
         if n_bits not in (4, 8):
             raise ValueError("the paper evaluates 4-bit and 8-bit ROMBF")
@@ -124,7 +136,6 @@ class RombfOptimizer:
         #: the baselines compete under identical deployment rules.
         self.acceptance_margin = acceptance_margin
         self.max_candidates = max_candidates
-        self.seed = seed
 
     def train(self, profile: BranchProfile) -> RombfResult:
         """Exhaustively fit an AND/OR formula per mispredicting branch.

@@ -40,25 +40,6 @@ DEFAULT_DRIFT_THRESHOLD = 0.20
 DEFAULT_MIN_EXECUTIONS = 32
 
 
-def _per_pc_stats(
-    program: Program, block_ids: np.ndarray, taken: np.ndarray
-) -> Dict[int, Tuple[int, int]]:
-    """Per-branch ``(executions, taken_count)`` over conditional events."""
-    mask = program.is_conditional[block_ids]
-    blocks = block_ids[mask]
-    outcomes = taken[mask]
-    n_blocks = len(program.block_sizes)
-    execs = np.bincount(blocks, minlength=n_blocks)
-    takens = np.bincount(blocks, weights=outcomes, minlength=n_blocks)
-    stats: Dict[int, Tuple[int, int]] = {}
-    for block in np.flatnonzero(execs).tolist():
-        stats[int(program.branch_pcs[block])] = (
-            int(execs[block]),
-            int(takens[block]),
-        )
-    return stats
-
-
 @dataclass
 class AppProfile:
     """The rolling profile state for one application."""
@@ -110,8 +91,7 @@ class AppProfile:
 
     def window_stats(self, window_events: int) -> Dict[int, Tuple[int, int]]:
         """Per-branch (execs, taken) over the newest ``window_events``."""
-        block_ids, taken = self.recent_arrays(window_events)
-        return _per_pc_stats(self.program, block_ids, taken)
+        return self.recent_trace(window_events).per_branch_stats()
 
     def pin_reference(self, window_events: int) -> None:
         """Snapshot the current window as the drift baseline."""

@@ -139,8 +139,11 @@ def hot_conditional_blocks(
 ) -> List[int]:
     """The most-executed conditional blocks, by a deterministic probe.
 
-    A short canonical trace (cached, pure function of the spec/input)
-    ranks blocks by dynamic execution count; rotating within this pool
+    A short canonical probe trace, a pure function of the spec and
+    input, ranks blocks by dynamic execution count.  The generator keeps
+    no trace alive, so a call generates its probe afresh unless a caller
+    holds an equal one (:func:`generate_drifting_trace` holds one for
+    all its phases).  Rotating within this pool
     guarantees the drift is *observable* — a Zipf-skewed program executes
     a uniformly chosen block essentially never, which would starve any
     windowed detector.
@@ -216,6 +219,13 @@ def generate_drifting_trace(
     phase_starts: List[int] = []
     rotated_pcs: List[List[int]] = []
     cursor = 0
+    # Held through the loop, so every phase's hot_conditional_blocks
+    # ranks from this one probe instead of generating its own.
+    probe = (
+        generate_trace(spec, input_id, _PROBE_EVENTS)
+        if n_phases > 1 and drift_fraction > 0.0
+        else None
+    )
     for phase in range(n_phases):
         overrides = phase_overrides(program, input_id, phase, drift_fraction)
         events = per_phase if phase < n_phases - 1 else n_events - cursor
@@ -233,6 +243,7 @@ def generate_drifting_trace(
             sorted(int(program.branch_pcs[block]) for block in overrides)
         )
         cursor += events
+    del probe
 
     trace = Trace(
         program=program,

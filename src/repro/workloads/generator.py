@@ -17,21 +17,31 @@ capacity-dominated mispredictions (Fig 3):
   events, so the hot set slowly migrates and branch substreams see large
   reuse distances.
 
-Traces are deterministic functions of ``(spec, input_id, n_events)``.
+Traces are deterministic functions of ``(spec, input_id, n_events)``,
+and generating one writes no behaviour object: nothing is reset before
+a trace or written back after one.
 
 Two walks produce them, bit for bit alike: :func:`_walk_scalar` calls
-each conditional event's ``outcome`` in turn (the definition), and
-:func:`_walk_vector` assembles the block stream in NumPy, then resolves
-every outcome in one compiled pass
-(:func:`repro.bpu.native.gen_outcomes`).  A call takes the second when
+each conditional event's ``outcome`` in turn on its own copies of the
+stateful behaviours (the definition), and :func:`_walk_vector`
+assembles the block stream in NumPy, then resolves every outcome in one
+compiled pass (:func:`repro.bpu.native.gen_outcomes`) over a packed
+copy of their state.  A call takes the second when
 :func:`repro.bpu.runner.use_native` holds and every conditional block's
 behaviour is one of the six kinds that pass resolves; otherwise (the
 ``scalar`` tier, no compiled library, or a behaviour such as
 :class:`~repro.workloads.behaviors.FormulaBehavior`) it takes the first.
+
+The module keeps built programs and, weakly, generated traces: a trace
+is shared while some caller holds it.  What it derives from a program
+alone (the request and function geometry, the packed behaviours) lives
+in :attr:`Program.derived <repro.workloads.program.Program.derived>`.
 """
 
 from __future__ import annotations
 
+import copy
+import weakref
 from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
@@ -41,6 +51,7 @@ from ..profiling.trace import Trace
 from .behaviors import (
     BiasedBehavior,
     BurstyBehavior,
+    FormulaBehavior,
     LocalBehavior,
     LoopBehavior,
     PatternBehavior,
@@ -53,11 +64,8 @@ _HISTORY_BITS = 1024
 _HISTORY_MASK = (1 << _HISTORY_BITS) - 1
 
 _program_cache: Dict[Tuple[str, int], Program] = {}
-_trace_cache: Dict[Tuple, Trace] = {}
-_phase_array_cache: Dict[Tuple[str, int], Tuple] = {}
-#: Each program's own behaviours, packed for the compiled outcome pass
-#: (None when it holds one the pass does not resolve).
-_model_cache: Dict[Tuple[str, int], Tuple[Program, Optional["_Models"]]] = {}
+#: Traces shared while some caller holds them; the cache keeps none alive.
+_trace_cache: "weakref.WeakValueDictionary[Tuple, Trace]" = weakref.WeakValueDictionary()
 
 
 def get_program(spec: AppSpec) -> Program:
@@ -73,8 +81,6 @@ def clear_caches() -> None:
     """Drop memoised programs and traces (used by tests)."""
     _program_cache.clear()
     _trace_cache.clear()
-    _phase_array_cache.clear()
-    _model_cache.clear()
 
 
 def _input_rng(spec: AppSpec, input_id: int, salt: int = 0) -> np.random.Generator:
@@ -115,13 +121,9 @@ def _drifted_behaviors(program: Program, input_id: int) -> Dict[int, BiasedBehav
     return overrides
 
 
-#: Attribute holding each stateful kind's mutable state.
-_STATE_ATTR = {
-    BurstyBehavior: "_remaining",
-    PatternBehavior: "_pos",
-    LoopBehavior: "_count",
-    LocalBehavior: "_local",
-}
+#: Behaviour kinds that carry no state between executions.  The scalar
+#: walk shares these and advances its own copy of any other object.
+_STATELESS = frozenset((BiasedBehavior, SparseHistoryBehavior, FormulaBehavior))
 
 
 class _Unpackable(Exception):
@@ -169,19 +171,19 @@ class _Models:
 
     One slot per distinct object, so blocks sharing a behaviour share
     its state as in the scalar walk; ``block_slot`` maps a block to its
-    slot.  Raises :class:`_Unpackable` (or ``OverflowError``) for a
-    behaviour the compiled pass does not take.
+    slot, and ``state`` holds each slot's state as packed.  Raises
+    :class:`_Unpackable` (or ``OverflowError``) for a behaviour the
+    compiled pass does not take.
     """
 
-    __slots__ = ("block_slot", "objects", "kinds", "iparam", "fparam",
+    __slots__ = ("block_slot", "kinds", "iparam", "fparam",
                  "positions", "bits", "state")
 
     def __init__(self, behaviors, blocks, base: Optional["_Models"] = None) -> None:
         """Pack ``behaviors[b]`` for each block ``b`` of ``blocks``, after
         ``base``'s slots (whose block map the new blocks then override)."""
-        objects: List = []
         slot_of: Dict[int, int] = {}
-        first_slot = len(base.objects) if base is not None else 0
+        first_slot = len(base.kinds) if base is not None else 0
         first_position = base.positions.shape[0] if base is not None else 0
         first_byte = len(base.bits) if base is not None else 0
         kinds, iparam, fparam, state = [], [], [], []
@@ -206,8 +208,7 @@ class _Models:
             beh = behaviors[block]
             slot = slot_of.get(id(beh))
             if slot is None:
-                slot = slot_of[id(beh)] = first_slot + len(objects)
-                objects.append(beh)
+                slot = slot_of[id(beh)] = first_slot + len(kinds)
                 code, ip, fp, st = _pack(beh, table, sparse)
                 kinds.append(code)
                 iparam.append(ip)
@@ -217,10 +218,8 @@ class _Models:
 
         if base is None:
             self.block_slot = np.zeros(len(behaviors), dtype=np.int64)
-            self.objects = objects
         else:
             self.block_slot = base.block_slot.copy()
-            self.objects = base.objects + objects
         self.block_slot[np.asarray(blocks, dtype=np.int64)] = slots
         columns = {
             "kinds": np.array(kinds, dtype=np.int64),
@@ -236,37 +235,30 @@ class _Models:
         self.bits = (base.bits if base is not None else b"") + bytes(bits)
 
     def outcomes(self, cond_blocks: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
-        """Resolve the conditional events in order from the packed state;
-        the behaviour objects then hold their post-run state."""
+        """Resolve the conditional events in order, each slot starting
+        from its packed state.  The pass advances a copy of that state,
+        so the model (and every behaviour object) is left as it was."""
         from ..bpu import native
 
-        state = self.state.copy()
-        out = native.gen_outcomes(
+        return native.gen_outcomes(
             self.block_slot[cond_blocks], uniforms, self.kinds, self.iparam,
-            self.fparam, self.positions, self.bits, state,
+            self.fparam, self.positions, self.bits, self.state.copy(),
         )
-        stateful = np.flatnonzero(np.isin(self.kinds, (1, 3, 4, 5)))
-        for slot, value in zip(stateful.tolist(), state[stateful].tolist()):
-            beh = self.objects[slot]
-            setattr(beh, _STATE_ATTR[type(beh)], value)
-        return out
 
 
 def _compiled_models(program: Program, overrides: Dict[int, object]) -> Optional[_Models]:
     """The behaviours of a trace packed for the compiled outcome pass:
-    the program's own, packed once per program from their reset state,
-    then ``overrides`` (block -> behaviour).  None when the program has
-    no requests or a conditional block's behaviour is not one of the
-    six kinds the pass resolves (such as :class:`FormulaBehavior`): the
+    the program's own, packed once into :attr:`Program.derived`, then
+    ``overrides`` (block -> behaviour).  None when the program has no
+    requests or a conditional block's behaviour is not one of the six
+    kinds the pass resolves (such as :class:`FormulaBehavior`): the
     scalar walk runs then."""
     if not program.requests:
         return None
-    key = (program.spec.name, program.spec.seed)
-    entry = _model_cache.get(key)
-    if entry is None or entry[0] is not program:
+    if "models" not in program.derived:
         blocks = np.flatnonzero(program.is_conditional).tolist()
-        entry = _model_cache[key] = (program, _packed(program.behaviors, blocks))
-    models = entry[1]
+        program.derived["models"] = _packed(program.behaviors, blocks)
+    models = program.derived["models"]
     blocks = [block for block in overrides if program.is_conditional[block]]
     if models is not None and blocks:
         models = _packed(overrides, blocks, base=models)
@@ -282,9 +274,9 @@ def _packed(behaviors, blocks: List[int], base: Optional[_Models] = None) -> Opt
 
 
 def _phase_arrays(program: Program) -> Tuple:
-    """Flattened request/function geometry for the vector walk."""
-    key = (program.spec.name, program.spec.seed)
-    arrays = _phase_array_cache.get(key)
+    """Flattened request/function geometry for the vector walk, kept in
+    :attr:`Program.derived`."""
+    arrays = program.derived.get("phase arrays")
     if arrays is None:
         requests = program.requests
         req_len = np.fromiter(
@@ -307,7 +299,7 @@ def _phase_arrays(program: Program) -> Tuple:
             count=program.n_functions,
         )
         arrays = (req_flat, req_starts, req_len, func_first, func_len)
-        _phase_array_cache[key] = arrays
+        program.derived["phase arrays"] = arrays
     return arrays
 
 
@@ -394,7 +386,16 @@ def _walk_scalar(
 
     The definition :func:`_walk_vector` reproduces; it also runs
     without the compiled library and for behaviours the compiled
-    outcome pass does not resolve."""
+    outcome pass does not resolve.  It advances its own copy of each
+    stateful behaviour object in ``behaviors`` (blocks sharing an
+    object share its copy), so the objects themselves are never
+    touched."""
+    copies: Dict[int, object] = {}
+    for beh in behaviors:
+        if beh is not None and type(beh) not in _STATELESS and id(beh) not in copies:
+            copies[id(beh)] = copy.copy(beh)
+    behaviors = [copies.get(id(beh), beh) for beh in behaviors]
+
     block_ids = np.empty(n_events, dtype=np.int32)
     taken = np.empty(n_events, dtype=bool)
     uniforms = rng.random(n_events + 16)
@@ -510,21 +511,27 @@ def generate_trace(
 
     ``behavior_overrides`` (block id -> behaviour) is applied on top of
     the per-input drift draws — the hook :mod:`repro.workloads.drifting`
-    uses to rotate branch models mid-stream.  Overridden traces are
-    never cached: the cache key identifies the *canonical* behaviours.
+    uses to rotate branch models mid-stream.  Each override starts from
+    the state its object holds, and the object keeps it.  Overridden
+    traces are never cached: the cache key identifies the *canonical*
+    behaviours.
+
+    With ``use_cache`` a call returns the equal trace some caller still
+    holds, if any; ``use_cache=False`` always generates a new one.
     """
     if behavior_overrides:
         use_cache = False
     key = (spec.name, spec.seed, input_id, n_events)
-    if use_cache and key in _trace_cache:
-        return _trace_cache[key]
+    if use_cache:
+        cached = _trace_cache.get(key)
+        if cached is not None:
+            return cached
 
     from ..bpu.runner import use_native
 
     compiled = use_native(kernel)
 
     program = get_program(spec)
-    program.reset_behaviors()
     overrides = _drifted_behaviors(program, input_id)
 
     if behavior_overrides:

@@ -20,6 +20,10 @@ generator state saved right after the layout draws.  Decoding a stored
 trace, profile or prediction needs only the layout, so it never pays for
 the model.
 
+Trace generation writes none of a program's behaviour objects (it walks
+copies of their state); what the generator computes from a program
+alone lives in :attr:`Program.derived` and dies with the program.
+
 The draw order is the contract: the two parts make the same
 ``Generator`` calls, in the same order and with the same arguments, as
 one eager pass over ``default_rng(spec.seed)``, so a program (and every
@@ -34,7 +38,7 @@ from __future__ import annotations
 import threading
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -109,6 +113,9 @@ class Program:
         self.branch_pcs = self.block_addrs + (self.block_sizes - 1) * INSTRUCTION_BYTES
         self._model_state = model_state
         self._model: Optional[Tuple[List[Optional[Behavior]], List[np.ndarray]]] = None
+        #: What the trace generator computes from this program alone;
+        #: each entry is a pure function of the program.
+        self.derived: Dict[str, object] = {}
 
     # ------------------------------------------------------------------
     @property
@@ -174,12 +181,6 @@ class Program:
         first = func.first_block
         start = max(first, block - max_back)
         return list(range(start, block))
-
-    def reset_behaviors(self) -> None:
-        """Clear mutable behaviour state before generating a fresh trace."""
-        for behavior in self.behaviors:
-            if behavior is not None:
-                behavior.reset()
 
 
 # ----------------------------------------------------------------------

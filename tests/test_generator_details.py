@@ -1,11 +1,17 @@
-"""Generator internals: caching, input drift, request mechanics."""
+"""Generator internals: caching, input drift, request mechanics, and
+generation as a pure function that writes nothing into the program."""
 
+import copy
+import gc
 import hashlib
+import sys
+import threading
 
 import numpy as np
 import pytest
 
-from repro.workloads.behaviors import BiasedBehavior, BurstyBehavior
+from repro.workloads import generator
+from repro.workloads.behaviors import BiasedBehavior, BurstyBehavior, LoopBehavior
 from repro.workloads.generator import (
     _drifted_behaviors,
     _zipf_weights,
@@ -80,6 +86,62 @@ class TestCaches:
         b = generate_trace(tiny_spec, 0, 5000)
         assert a is not b
         assert np.array_equal(a.block_ids, b.block_ids)
+
+
+class TestPureGeneration:
+    """A trace is a function of its arguments: generating one writes no
+    behaviour object, and the cache keeps no trace alive."""
+
+    def test_threads_sharing_a_program_get_their_sequential_traces(self):
+        """A guard that generation stays pure: with any behaviour state
+        shared through the program, two interleaved scalar walks would
+        corrupt each other's outcomes."""
+        spec = get_spec("mysql")
+
+        def generate(input_id):
+            return generate_trace(spec, input_id, 20_000, use_cache=False, kernel="scalar")
+
+        want = {input_id: generate(input_id) for input_id in (1, 2)}
+        got = {}
+        threads = [
+            threading.Thread(target=lambda i=i: got.__setitem__(i, generate(i)))
+            for i in (1, 2)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for input_id in (1, 2):
+            assert np.array_equal(got[input_id].block_ids, want[input_id].block_ids)
+            assert np.array_equal(got[input_id].taken, want[input_id].taken)
+
+    def test_generation_writes_no_behaviour(self, tiny_spec, tiny_trace):
+        program = get_program(tiny_spec)
+        cond = tiny_trace.block_ids[tiny_trace.is_conditional]
+        hot = int(np.bincount(cond).argmax())
+        override = LoopBehavior(trip=3)
+        behaviors, loop = copy.deepcopy(program.behaviors), copy.deepcopy(override)
+        for kernel in ("scalar", None):
+            generate_trace(tiny_spec, 1, 6_000, use_cache=False, kernel=kernel)
+            generate_trace(
+                tiny_spec, 1, 6_000, kernel=kernel, behavior_overrides={hot: override}
+            )
+        assert program.behaviors == behaviors
+        assert override == loop
+
+    def test_cache_holds_traces_weakly(self, tiny_spec):
+        key = (tiny_spec.name, tiny_spec.seed, 3, 5_000)
+        trace = generate_trace(tiny_spec, 3, 5_000)
+        assert generator._trace_cache[key] is trace
+        del trace
+        gc.collect()
+        assert key not in generator._trace_cache
 
 
 #: SHA-256 of (block_ids, taken) bytes at 20k events, recorded before

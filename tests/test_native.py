@@ -7,7 +7,8 @@ registry, each compiled column builder and walk against the scalar
 definition it replaces (the generator's outcome pass, the hint buffer's
 LRU walk and the FDIP merge among them), the one entrance to the fast
 path (with no C toolchain every call runs its scalar definition end to
-end, after a single warning, byte-identical), the one cache of
+end, after a single warning that names the entry point's caller,
+byte-identical), the one cache of
 trace-derived data and its weak hold on traces, kernel-name
 single-sourcing in the CLI and ``REPRO_KERNEL``, the benchmark row's
 provenance, and the ratchets.
@@ -108,6 +109,25 @@ class TestFallback:
             simulate(trace, PerceptronPredictor())
         ours = [w for w in caught if issubclass(w.category, RuntimeWarning)]
         assert len(ours) == 1
+
+    @pytest.mark.parametrize(
+        "entry", ["simulate", "simulate_timing", "generate_trace", "collect_training_data"]
+    )
+    def test_warning_names_the_caller(self, entry, tiny_spec, tiny_trace, no_native):
+        short = tiny_trace.slice(0, 2_000)
+        calls = {
+            "simulate": lambda: simulate(short, GSharePredictor()),
+            "simulate_timing": lambda: simulate_timing(short),
+            "generate_trace": lambda: generate_trace(tiny_spec, 1, 2_000, use_cache=False),
+            "collect_training_data": lambda: training.collect_training_data(
+                [short], np.unique(short.pcs[short.is_conditional])[:4]
+            ),
+        }
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            calls[entry]()
+        (warning,) = [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert warning.filename == __file__
 
     def test_replay_tier_names_the_fallback(self, no_native, monkeypatch):
         with pytest.warns(RuntimeWarning):
@@ -482,15 +502,24 @@ class TestOutcomePass:
     @settings(max_examples=200, deadline=None)
     def test_matches_outcome_calls(self, stream):
         models, blocks, events, draws = stream
+        before = copy.deepcopy(models)
         oracle = copy.deepcopy(models)
         want = _walk_outcomes([oracle[m] for m in blocks], events, draws)
 
         packed = _Models([models[m] for m in blocks], range(len(blocks)))
-        got = packed.outcomes(np.array(events, dtype=np.int64), np.array(draws))
+        events, draws = np.array(events, dtype=np.int64), np.array(draws)
+        got = packed.outcomes(events, draws)
         assert got.tolist() == want
-        for compiled, scalar in zip(models, oracle):
-            for name in _STATE:
-                assert getattr(compiled, name, None) == getattr(scalar, name, None), name
+        assert models == before, "the pass wrote a behaviour object"
+        # Post-run state, from the column the compiled pass fills in place.
+        state = packed.state.copy()
+        native.gen_outcomes(
+            packed.block_slot[events], draws, packed.kinds, packed.iparam,
+            packed.fparam, packed.positions, packed.bits, state,
+        )
+        for block, m in enumerate(blocks):
+            post = [getattr(oracle[m], name) for name in _STATE if hasattr(oracle[m], name)]
+            assert state[packed.block_slot[block]] == (post or [0])[0]
 
     def test_returns_post_run_state(self):
         loop = LoopBehavior(trip=4)
