@@ -303,173 +303,97 @@ void replay_perceptron(
 }
 
 /* ------------------------------------------------------------------ */
-/* Doubly-linked recency list over dense indices (-1 = end; head =      */
-/* least recent): OrderedDict.move_to_end and popitem(last=False) for   */
-/* the loop predictor's table and the hint buffer.                      */
+/* Fully-associative LRU table over dense keys 0..n_keys-1, the         */
+/* OrderedDict of the hint buffer (core/hint_buffer.py) and of the loop */
+/* predictor (loop.py): a present flag per key and a doubly-linked      */
+/* recency list through the keys (-1 = end; head = least recent).       */
+/* lru_touch is move_to_end, lru_insert a new entry (evicting the head  */
+/* first when full, as popitem(last=False)) and lru_remove del.  Each   */
+/* key also owns n_cols int64 values, col[c * n_keys + key].            */
 /* ------------------------------------------------------------------ */
 
 typedef struct {
-    int64_t *prev, *next;
-    int64_t head, tail;
-} Recency;
+    uint8_t *present;
+    int64_t *prev, *next, *col;
+    int64_t head, tail, size, cap;
+} Lru;
 
-static void rec_unlink(Recency *R, int64_t k)
+/* An empty table of `cap` (>= 1) entries; 1 on allocation failure.     */
+static int lru_init(Lru *T, int64_t n_keys, int64_t cap, int64_t n_cols)
 {
-    const int64_t p = R->prev[k], q = R->next[k];
-    if (p >= 0) R->next[p] = q; else R->head = q;
-    if (q >= 0) R->prev[q] = p; else R->tail = p;
-}
-
-static void rec_append(Recency *R, int64_t k)
-{
-    R->prev[k] = R->tail;
-    R->next[k] = -1;
-    if (R->tail >= 0) R->next[R->tail] = k; else R->head = k;
-    R->tail = k;
-}
-
-/* ------------------------------------------------------------------ */
-/* Loop predictor (loop.py): fully-associative LRU table keyed by PC.   */
-/* An open-addressing hash map (tombstoned, rebuilt when dirty) plus a  */
-/* recency list over slots reproduce the OrderedDict semantics exactly. */
-/* ------------------------------------------------------------------ */
-
-#define LP_EMPTY (-1)
-#define LP_TOMB  (-2)
-
-typedef struct {
-    int64_t cap, size, hmask;
-    int64_t *pc, *trip, *cnt, *conf;
-    Recency lru;               /* by slot                                */
-    int64_t *freelist, n_free;
-    int64_t *hkey, *hval;      /* hkey: pc, LP_EMPTY or LP_TOMB          */
-    int64_t n_tomb;
-    int64_t *block;            /* single backing allocation              */
-} Loop;
-
-static uint64_t loop_hash(int64_t pc)
-{
-    uint64_t h = (uint64_t)pc * 0x9E3779B97F4A7C15ULL;
-    return h ^ (h >> 29);
-}
-
-static int loop_init(Loop *L, int64_t cap,
-                     const int64_t *pc, const int64_t *trip,
-                     const int64_t *cnt, const int64_t *conf, int64_t m)
-{
-    int64_t hsize = 64;
-    while (hsize < cap * 4) hsize <<= 1;
-    L->cap = cap;
-    L->hmask = hsize - 1;
-    L->size = 0;
-    L->lru.head = L->lru.tail = -1;
-    L->n_tomb = 0;
-    L->block = (int64_t *)malloc((size_t)(cap * 7 + hsize * 2) * sizeof(int64_t));
-    if (L->block == NULL) return 1;
-    L->pc = L->block;
-    L->trip = L->pc + cap;
-    L->cnt = L->trip + cap;
-    L->conf = L->cnt + cap;
-    L->lru.prev = L->conf + cap;
-    L->lru.next = L->lru.prev + cap;
-    L->freelist = L->lru.next + cap;
-    L->hkey = L->freelist + cap;
-    L->hval = L->hkey + hsize;
-    for (int64_t i = 0; i < hsize; i++) L->hkey[i] = LP_EMPTY;
-    L->n_free = 0;
-    for (int64_t s = cap - 1; s >= m; s--) L->freelist[L->n_free++] = s;
-    for (int64_t s = 0; s < m; s++) {
-        L->pc[s] = pc[s];
-        L->trip[s] = trip[s];
-        L->cnt[s] = cnt[s];
-        L->conf[s] = conf[s];
-        L->lru.prev[s] = s - 1;
-        L->lru.next[s] = (s + 1 < m) ? s + 1 : -1;
-        uint64_t h = loop_hash(pc[s]) & (uint64_t)L->hmask;
-        while (L->hkey[h] != LP_EMPTY) h = (h + 1) & (uint64_t)L->hmask;
-        L->hkey[h] = pc[s];
-        L->hval[h] = s;
+    T->present = (uint8_t *)calloc((size_t)n_keys + 1, 1);
+    T->prev = (int64_t *)malloc((size_t)(n_keys * (2 + n_cols) + 1) * sizeof(int64_t));
+    if (T->present == NULL || T->prev == NULL) {
+        free(T->present);
+        free(T->prev);
+        return 1;
     }
-    if (m > 0) { L->lru.head = 0; L->lru.tail = m - 1; }
-    L->size = m;
+    T->next = T->prev + n_keys;
+    T->col = T->next + n_keys;
+    T->head = T->tail = -1;
+    T->size = 0;
+    T->cap = cap;
     return 0;
 }
 
-static int64_t loop_find(const Loop *L, int64_t pc)
+static void lru_free(Lru *T)
 {
-    uint64_t h = loop_hash(pc) & (uint64_t)L->hmask;
-    for (;;) {
-        int64_t k = L->hkey[h];
-        if (k == LP_EMPTY) return -1;
-        if (k == pc) return L->hval[h];
-        h = (h + 1) & (uint64_t)L->hmask;
-    }
+    free(T->present);
+    free(T->prev);
 }
 
-static void loop_hash_put(Loop *L, int64_t pc, int64_t slot)
+static void lru_unlink(Lru *T, int64_t key)
 {
-    uint64_t h = loop_hash(pc) & (uint64_t)L->hmask;
-    int64_t first_tomb = -1;
-    for (;;) {
-        int64_t k = L->hkey[h];
-        if (k == LP_TOMB) {
-            if (first_tomb < 0) first_tomb = (int64_t)h;
-        } else if (k == LP_EMPTY) {
-            if (first_tomb >= 0) { h = (uint64_t)first_tomb; L->n_tomb--; }
-            L->hkey[h] = pc;
-            L->hval[h] = slot;
-            return;
-        }
-        h = (h + 1) & (uint64_t)L->hmask;
-    }
+    const int64_t p = T->prev[key], q = T->next[key];
+    if (p >= 0) T->next[p] = q; else T->head = q;
+    if (q >= 0) T->prev[q] = p; else T->tail = p;
 }
 
-static void loop_rehash(Loop *L)
+static void lru_append(Lru *T, int64_t key)
 {
-    for (int64_t i = 0; i <= L->hmask; i++) L->hkey[i] = LP_EMPTY;
-    L->n_tomb = 0;
-    for (int64_t s = L->lru.head; s >= 0; s = L->lru.next[s])
-        loop_hash_put(L, L->pc[s], s);
+    T->prev[key] = T->tail;
+    T->next[key] = -1;
+    if (T->tail >= 0) T->next[T->tail] = key; else T->head = key;
+    T->tail = key;
 }
 
-static void loop_remove(Loop *L, int64_t s)
+static void lru_touch(Lru *T, int64_t key)
 {
-    rec_unlink(&L->lru, s);
-    uint64_t h = loop_hash(L->pc[s]) & (uint64_t)L->hmask;
-    for (;;) {
-        int64_t k = L->hkey[h];
-        if (k == L->pc[s] && L->hval[h] == s) { L->hkey[h] = LP_TOMB; L->n_tomb++; break; }
-        if (k == LP_EMPTY) break;  /* unreachable for live entries */
-        h = (h + 1) & (uint64_t)L->hmask;
-    }
-    L->freelist[L->n_free++] = s;
-    L->size--;
-    if (L->n_tomb > (L->hmask + 1) / 4) loop_rehash(L);
+    lru_unlink(T, key);
+    lru_append(T, key);
 }
 
-/* loop_table[pc] = _LoopEntry(), with LRU eviction when at capacity.    */
-static void loop_insert(Loop *L, int64_t pc)
+static void lru_remove(Lru *T, int64_t key)
 {
-    if (L->size >= L->cap) loop_remove(L, L->lru.head);
-    int64_t s = L->freelist[--L->n_free];
-    L->pc[s] = pc;
-    L->trip[s] = -1;
-    L->cnt[s] = 0;
-    L->conf[s] = 0;
-    rec_append(&L->lru, s);
-    loop_hash_put(L, pc, s);
-    L->size++;
+    lru_unlink(T, key);
+    T->present[key] = 0;
+    T->size--;
+}
+
+/* Insert an absent key; returns 1 when that evicted the head.          */
+static int lru_insert(Lru *T, int64_t key)
+{
+    const int evicted = T->size >= T->cap;
+    if (evicted) lru_remove(T, T->head);
+    T->present[key] = 1;
+    T->size++;
+    lru_append(T, key);
+    return evicted;
 }
 
 /* ------------------------------------------------------------------ */
 /* TAGE core, optionally composed with the statistical corrector and    */
 /* loop predictor (TAGE-SC-L) when has_sc != 0.  Mirrors tage.py's      */
 /* predict_full/update and the tage_sc_l.py composition statement for  */
-/* statement, probing tags live at every branch.                        */
-/* Returns 0 on success, 1 on allocation failure.                       */
+/* statement, probing tags live at every branch.  The loop predictor's  */
+/* table is the dense-key LRU table keyed by each branch's block (a     */
+/* block ends in exactly one branch), starting empty; loop_rows gets    */
+/* its entries after the walk as (key, trip, count, conf) rows, least   */
+/* recent first.  Returns their number (0 without the corrector), or -1 */
+/* on allocation failure.                                               */
 /* ------------------------------------------------------------------ */
 
-int replay_tage(
+int64_t replay_tage(
     int64_t n, int64_t n_tables, int64_t n_entries, int64_t n_bimodal,
     const int64_t *idx_mat,   /* [n_tables][n] per-table entry indices   */
     const int64_t *tag_mat,   /* [n_tables][n] per-table computed tags   */
@@ -488,11 +412,9 @@ int replay_tage(
     const int64_t *sc_idx_mat,/* [n_sc][n] corrector indices             */
     int64_t *sc_tables,       /* [n_sc][sc_entries] 6-bit counters       */
     int64_t sc_weight, int64_t sc_threshold,
-    const int64_t *pcs,       /* [n] branch PCs (loop predictor keys)    */
-    int64_t loop_cap, int64_t loop_m,
-    int64_t *loop_pc, int64_t *loop_trip, int64_t *loop_count,
-    int64_t *loop_conf,       /* [loop_cap] in/out, LRU-oldest first     */
-    int64_t *loop_m_out,      /* [1] out: live entries after the run     */
+    const int32_t *keys,      /* [n] block of each branch (loop keys)    */
+    int64_t n_keys, int64_t loop_cap,
+    int64_t *loop_rows,       /* [loop_cap][4] out                       */
     uint8_t *correct)         /* [n] out                                 */
 {
     (void)n_bimodal;
@@ -500,11 +422,13 @@ int replay_tage(
     int64_t tick = scalars[1];
     int64_t rnd = scalars[2];
 
-    Loop L;
+    Lru L;
+    int64_t *lp_trip = NULL, *lp_count = NULL, *lp_conf = NULL;
     if (has_sc) {
-        if (loop_init(&L, loop_cap, loop_pc, loop_trip, loop_count,
-                      loop_conf, loop_m) != 0)
-            return 1;
+        if (lru_init(&L, n_keys, loop_cap, 3) != 0) return -1;
+        lp_trip = L.col;
+        lp_count = lp_trip + n_keys;
+        lp_conf = lp_count + n_keys;
     }
 
     for (int64_t j = 0; j < n; j++) {
@@ -614,12 +538,12 @@ int replay_tage(
 
         /* ---- SC-L composition ------------------------------------- */
         if (has_sc) {
-            const int64_t pc = pcs[j];
-            const int64_t slot = loop_find(&L, pc);
+            const int64_t key = keys[j];
+            const int hit = L.present[key];
             int loop_valid = 0, loop_pred = 0;
-            if (slot >= 0 && L.conf[slot] >= 3 && L.trip[slot] >= 1) {
+            if (hit && lp_conf[key] >= 3 && lp_trip[key] >= 1) {
                 loop_valid = 1;
-                loop_pred = L.cnt[slot] + 1 <= L.trip[slot];
+                loop_pred = lp_count[key] + 1 <= lp_trip[key];
             }
 
             const int64_t abs_conf = conf >= 0 ? conf : -conf;
@@ -633,22 +557,25 @@ int replay_tage(
             correct[j] = hj ? hint_ok[j] : (uint8_t)(final_pred == tk);
 
             /* Loop update. */
-            if (slot < 0) {
-                if (mispredicted && allocate) loop_insert(&L, pc);
+            if (!hit) {
+                if (mispredicted && allocate) {
+                    lru_insert(&L, key);
+                    lp_trip[key] = -1;
+                    lp_count[key] = 0;
+                    lp_conf[key] = 0;
+                }
             } else {
-                rec_unlink(&L.lru, slot);
-                rec_append(&L.lru, slot);  /* move_to_end */
+                lru_touch(&L, key);
                 if (tk) {
-                    L.cnt[slot]++;
-                    if (L.cnt[slot] > 4096) loop_remove(&L, slot);
+                    if (++lp_count[key] > 4096) lru_remove(&L, key);
                 } else {
-                    if (L.trip[slot] == L.cnt[slot] && L.trip[slot] > 0) {
-                        if (L.conf[slot] < 7) L.conf[slot]++;
+                    if (lp_trip[key] == lp_count[key] && lp_trip[key] > 0) {
+                        if (lp_conf[key] < 7) lp_conf[key]++;
                     } else {
-                        L.trip[slot] = L.cnt[slot];
-                        L.conf[slot] = 0;
+                        lp_trip[key] = lp_count[key];
+                        lp_conf[key] = 0;
                     }
-                    L.cnt[slot] = 0;
+                    lp_count[key] = 0;
                 }
             }
 
@@ -671,28 +598,28 @@ int replay_tage(
     scalars[1] = tick;
     scalars[2] = rnd;
 
+    int64_t m = 0;
     if (has_sc) {
-        int64_t m = 0;
-        for (int64_t s = L.lru.head; s >= 0; s = L.lru.next[s]) {
-            loop_pc[m] = L.pc[s];
-            loop_trip[m] = L.trip[s];
-            loop_count[m] = L.cnt[s];
-            loop_conf[m] = L.conf[s];
-            m++;
+        for (int64_t key = L.head; key >= 0; key = L.next[key], m++) {
+            int64_t *row = loop_rows + 4 * m;
+            row[0] = key;
+            row[1] = lp_trip[key];
+            row[2] = lp_count[key];
+            row[3] = lp_conf[key];
         }
-        loop_m_out[0] = m;
-        free(L.block);
+        lru_free(&L);
     }
-    return 0;
+    return m;
 }
 
 /* ------------------------------------------------------------------ */
 /* Set-associative LRU walk (sim/caches.py): SetAssociativeCache.access */
-/* and BranchTargetBuffer.access over a whole key stream.  Each set     */
-/* keeps its ways in recency order, least recent first: a hit moves the */
-/* key to the most recent way; a miss evicts the least recent way of a  */
-/* full set and appends the key.  Writes hit[j] per key and returns the */
-/* miss count, or -1 on allocation failure.                             */
+/* over a whole key stream of line addresses or BTB keys (pc >> 2).     */
+/* Each set keeps its ways in recency order, least recent first: a hit  */
+/* moves the key to the most recent way; a miss evicts the least recent */
+/* way of a full set and appends the key.  native.py keeps n_sets and   */
+/* assoc at 1 or more.  Writes hit[j] per key and returns the miss      */
+/* count, or -1 on allocation failure.                                  */
 /* ------------------------------------------------------------------ */
 
 int64_t lru_walk(
@@ -741,12 +668,13 @@ int64_t lru_walk(
 /* loads its block's hints (a reload of a buffered PC refreshes its     */
 /* recency and keeps the entry loaded first; a load into a full buffer  */
 /* evicts the least recent entry), then a conditional event probes its  */
-/* branch PC (a hit refreshes recency).  Branch PCs travel as dense     */
-/* keys 0..n_keys-1.  hit[j] is the load that parked the entry the j-th */
-/* conditional event hit, or -1; counts[] gains loads, hits and         */
-/* evictions.  The buffer starts empty; final_key[] lists its keys      */
-/* after the walk, least recent first, final_load[] their loads, and    */
-/* the return value is their number (-1 on allocation failure).         */
+/* branch PC (a hit refreshes recency).  The buffer is the LRU table    */
+/* above over dense keys 0..n_keys-1 for the branch PCs, and each key's */
+/* column holds the load that parked it.  hit[j] is that load for the   */
+/* entry the j-th conditional event hit, or -1; counts[] gains loads,   */
+/* hits and evictions.  The buffer starts empty; final_key[] lists its  */
+/* keys after the walk, least recent first, final_load[] their loads,   */
+/* and the return value is their number (-1 on allocation failure).     */
 /* ------------------------------------------------------------------ */
 
 int64_t hint_walk(
@@ -762,44 +690,28 @@ int64_t hint_walk(
     int64_t *final_key,       /* [n_keys] out                             */
     int64_t *final_load)      /* [n_keys] out                             */
 {
-    int64_t *block = (int64_t *)malloc((size_t)(n_keys * 3 + 1) * sizeof(int64_t));
-    uint8_t *present = (uint8_t *)calloc((size_t)n_keys + 1, 1);
-    if (block == NULL || present == NULL) {
-        free(block);
-        free(present);
-        return -1;
-    }
-    Recency R = { block, block + n_keys, -1, -1 };
-    int64_t *entry = block + 2 * n_keys;   /* the load that parked a key */
-    int64_t size = 0, loads = 0, hits = 0, evictions = 0, j = 0;
+    Lru T;
+    if (lru_init(&T, n_keys, capacity, 1) != 0) return -1;
+    int64_t *entry = T.col;                /* the load that parked a key */
+    int64_t loads = 0, hits = 0, evictions = 0, j = 0;
 
     for (int64_t i = 0; i < n; i++) {
         const int64_t b = block_ids[i];
         for (int64_t l = load_first[b]; l < load_first[b + 1]; l++) {
             const int64_t k = load_key[l];
             loads++;
-            if (present[k]) {
-                rec_unlink(&R, k);
+            if (T.present[k]) {
+                lru_touch(&T, k);
             } else {
-                if (size >= capacity) {
-                    const int64_t lru = R.head;
-                    rec_unlink(&R, lru);
-                    present[lru] = 0;
-                    size--;
-                    evictions++;
-                }
-                present[k] = 1;
+                evictions += lru_insert(&T, k);
                 entry[k] = l;
-                size++;
             }
-            rec_append(&R, k);
         }
         if (is_cond[b]) {
             const int64_t k = probe_key[b];
-            if (k >= 0 && present[k]) {
+            if (k >= 0 && T.present[k]) {
                 hits++;
-                rec_unlink(&R, k);
-                rec_append(&R, k);
+                lru_touch(&T, k);
                 hit[j] = entry[k];
             } else {
                 hit[j] = -1;
@@ -809,16 +721,14 @@ int64_t hint_walk(
     }
 
     int64_t m = 0;
-    for (int64_t k = R.head; k >= 0; k = R.next[k]) {
+    for (int64_t k = T.head; k >= 0; k = T.next[k], m++) {
         final_key[m] = k;
         final_load[m] = entry[k];
-        m++;
     }
     counts[0] += loads;
     counts[1] += hits;
     counts[2] += evictions;
-    free(block);
-    free(present);
+    lru_free(&T);
     return m;
 }
 

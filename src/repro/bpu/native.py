@@ -61,7 +61,6 @@ import os
 import shutil
 import tempfile
 import warnings
-from collections import OrderedDict
 from pathlib import Path
 from typing import Optional, Tuple
 
@@ -145,7 +144,7 @@ def _declare(lib: ctypes.CDLL) -> None:
     lib.replay_perceptron.argtypes = [
         i64, i64, i64, ptr, ptr, ptr, ptr, ptr, ptr, ptr,
     ]
-    lib.replay_tage.restype = ctypes.c_int
+    lib.replay_tage.restype = i64
     lib.replay_tage.argtypes = [
         i64, i64, i64, i64,          # n, n_tables, n_entries, n_bimodal
         ptr, ptr, ptr,               # idx_mat, tag_mat, bim_idx
@@ -155,9 +154,8 @@ def _declare(lib: ctypes.CDLL) -> None:
         ptr,                         # scalars
         i64, i64, i64,               # has_sc, n_sc, sc_entries
         ptr, ptr, i64, i64,          # sc_idx_mat, sc_tables, weight, threshold
-        ptr,                         # pcs
-        i64, i64,                    # loop_cap, loop_m
-        ptr, ptr, ptr, ptr, ptr,     # loop pc/trip/count/conf, m_out
+        ptr, i64, i64,               # keys, n_keys, loop_cap
+        ptr,                         # loop_rows
         ptr,                         # correct
     ]
     lib.lru_walk.restype = i64
@@ -242,13 +240,14 @@ def lru_walk(keys: np.ndarray, n_sets: int, assoc: int) -> np.ndarray:
     maps to set ``k % n_sets`` of ``assoc`` ways.  Needs the library
     (:func:`load` not None).
     """
+    _within("n_sets", (n_sets,), 1, math.inf)
+    _within("assoc", (assoc,), 1, math.inf)
     keys = np.ascontiguousarray(keys, dtype=np.int64)
     n = int(keys.shape[0])
     hit = np.empty(max(n, 1), dtype=np.uint8)
     if load().lru_walk(n, _ptr(keys), n_sets, assoc, _ptr(hit)) < 0:
         raise MemoryError("native lru_walk failed to allocate its sets")
     return hit[:n].view(bool)
-
 
 
 def gen_outcomes(
@@ -398,8 +397,8 @@ _MAX_BITS = 62
 
 
 def _within(name: str, values, low: int, high: float = _MAX_BITS) -> None:
-    """Refuse a parameter the compiled builders cannot take without an
-    undefined shift or a read outside the stream."""
+    """Refuse a parameter the compiled kernels cannot take without an
+    undefined shift, a division by zero or a read outside their arrays."""
     for value in values:
         if not low <= value <= high:
             raise ValueError(f"{name} {value} outside {low}..{high}")
@@ -600,8 +599,11 @@ def _native_tage_family(predictor, batch: ReplayBatch, hinted, hint_preds, suppr
     Marshals the predictor's table state into flat int64 matrices, runs
     the compiled state-update loop over the trace-pure columns
     (:func:`tage_column_arrays` / :func:`sc_column_arrays`), and writes
-    the mutated state back onto the predictor objects — including the
-    loop predictor's LRU table, round-tripped in recency order.
+    the mutated state back onto the predictor objects.  The loop
+    predictor's table starts empty (:func:`repro.bpu.runner.simulate`
+    resets the predictor first); the walk keys it by each branch's block
+    and returns it least recent first, mapped back to PCs through the
+    program's ``branch_pcs``.
     """
     lib = load()
     if isinstance(predictor, TageScLPredictor):
@@ -630,32 +632,27 @@ def _native_tage_family(predictor, batch: ReplayBatch, hinted, hint_preds, suppr
     if has_sc:
         if loop.n_entries < 1:
             raise ValueError("native kernel requires a loop table capacity >= 1")
+        if loop._table:
+            raise ValueError("native kernel requires an empty loop table")
         sc_idx_mat, sc_ghr = sc_column_arrays(sc, batch)
         sc_tables = np.array(sc._tables, dtype=np.int64)
         n_sc = len(sc.history_lengths)
         sc_entries = 1 << sc.log_entries
-        pcs = batch.pcs
-        cap = loop.n_entries
-        lp_pc = np.zeros(cap, dtype=np.int64)
-        lp_trip = np.zeros(cap, dtype=np.int64)
-        lp_count = np.zeros(cap, dtype=np.int64)
-        lp_conf = np.zeros(cap, dtype=np.int64)
-        for s, (pc, entry) in enumerate(loop._table.items()):
-            lp_pc[s] = pc
-            lp_trip[s] = entry.trip
-            lp_count[s] = entry.count
-            lp_conf[s] = entry.conf
-        loop_m = len(loop._table)
-        lp_m_out = np.zeros(1, dtype=np.int64)
-    else:
-        sc_idx_mat = sc_tables = pcs = np.zeros(1, dtype=np.int64)
-        n_sc = sc_entries = 0
-        cap = loop_m = 0
-        lp_pc = lp_trip = lp_count = lp_conf = lp_m_out = np.zeros(
-            1, dtype=np.int64
+        program = batch.trace.program
+        n_keys = program.n_blocks
+        keys = np.ascontiguousarray(
+            batch.trace.block_ids[batch.cond_event_indices], dtype=np.int32
         )
+        if n and not 0 <= int(keys.min()) <= int(keys.max()) < n_keys:
+            raise ValueError("block id outside the program")
+        cap = loop.n_entries
+    else:
+        sc_idx_mat = sc_tables = np.zeros(1, dtype=np.int64)
+        keys = np.zeros(1, dtype=np.int32)
+        n_sc = sc_entries = n_keys = cap = 0
+    loop_rows = np.empty((max(cap, 1), 4), dtype=np.int64)
 
-    rc = lib.replay_tage(
+    m = lib.replay_tage(
         n,
         n_tables,
         n_entries,
@@ -679,18 +676,14 @@ def _native_tage_family(predictor, batch: ReplayBatch, hinted, hint_preds, suppr
         _ptr(sc_tables),
         sc.tage_weight if has_sc else 0,
         sc.threshold if has_sc else 0,
-        _ptr(pcs),
+        _ptr(keys),
+        n_keys,
         cap,
-        loop_m,
-        _ptr(lp_pc),
-        _ptr(lp_trip),
-        _ptr(lp_count),
-        _ptr(lp_conf),
-        _ptr(lp_m_out),
+        _ptr(loop_rows),
         _ptr(correct),
     )
-    if rc != 0:
-        raise MemoryError("native replay_tage failed to allocate scratch state")
+    if m < 0:
+        raise MemoryError("native replay_tage failed to allocate its loop table")
 
     for i in range(n_tables):
         tage._ctrs[i][:] = ctrs[i].tolist()
@@ -707,13 +700,11 @@ def _native_tage_family(predictor, batch: ReplayBatch, hinted, hint_preds, suppr
         sc._ghr = sc_ghr
         sc._last = None
         predictor._last = None
-        table: "OrderedDict[int, _LoopEntry]" = OrderedDict()
-        for s in range(int(lp_m_out[0])):
-            entry = _LoopEntry()
-            entry.trip = int(lp_trip[s])
-            entry.count = int(lp_count[s])
-            entry.conf = int(lp_conf[s])
-            table[int(lp_pc[s])] = entry
-        loop._table = table
+        rows = loop_rows[:m]
+        for pc, (trip, count, conf) in zip(
+            program.branch_pcs[rows[:, 0]].tolist(), rows[:, 1:].tolist()
+        ):
+            entry = loop._table[pc] = _LoopEntry()
+            entry.trip, entry.count, entry.conf = trip, count, conf
 
     return correct[:n].astype(bool)

@@ -106,10 +106,6 @@ class SpanNode:
     def wall(self) -> float:
         return float(self.event.get("wall", 0.0))
 
-    def self_wall(self) -> float:
-        """Wall time not covered by child spans (exclusive time)."""
-        return max(0.0, self.wall - sum(c.wall for c in self.children))
-
 
 def build_tree(events: Iterable[dict]) -> List[SpanNode]:
     """Reconstruct span nesting; returns root nodes in start order.

@@ -17,7 +17,7 @@ upper bound; tests verify the sampled estimates converge to it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Tuple
 
 from ..profiling.trace import Trace
@@ -34,13 +34,6 @@ class LbrRecord:
     pc: int
     taken: bool
     mispredicted: bool
-
-
-@dataclass
-class LbrSample:
-    """A 32-deep LBR snapshot captured at one sampling event."""
-
-    records: List[LbrRecord] = field(default_factory=list)
 
 
 def collect_lbr_profile(

@@ -193,13 +193,6 @@ class HintPublisher:
                 return record, dict(self._entries[(app, version)])
         raise UnknownVersion(f"app {app!r} has no version {version!r}")
 
-    def table_for(
-        self, app: str, version: Optional[str] = None
-    ) -> Dict[int, _BufferEntry]:
-        """Decoded runtime table for one published version."""
-        _, entries = self.get_hints(app, version)
-        return runtime_table(entries, self.hash_op)
-
 
 def staleness_mpki(
     trace: Trace,

@@ -1,9 +1,10 @@
 """Set-associative cache models for the instruction-side hierarchy.
 
 These objects are the timing model's scalar oracle: the scalar kernel
-walks every access through them.  The default tier walks the same
-streams through the compiled :func:`repro.bpu.native.lru_walk`, with
-the set counts of :func:`cache_sets` and :func:`set_count`.
+walks every access through them.  There is one LRU body: the BTB is the
+cache keyed on ``pc >> 2``.  The default tier walks the same streams
+through the compiled :func:`repro.bpu.native.lru_walk`, with the set
+counts of :func:`cache_sets` and :func:`set_count`.
 """
 
 from __future__ import annotations
@@ -57,33 +58,18 @@ class SetAssociativeCache:
         return line_addr in self._sets[line_addr % self.n_sets]
 
 
-class BranchTargetBuffer:
-    """BTB model: taken branches must have an entry or pay a bubble."""
+class BranchTargetBuffer(SetAssociativeCache):
+    """BTB model: taken branches must have an entry or pay a bubble.
+
+    The LRU cache keyed on ``pc >> 2``, with ``entries`` keys in
+    ``assoc``-way sets (an ``entries`` KB cache of 1 KB lines).
+    :meth:`access` takes the PC; the inherited :meth:`probe` takes the
+    key.
+    """
 
     def __init__(self, entries: int = 8192, assoc: int = 4) -> None:
-        self.n_sets = set_count(entries, assoc)
-        self.assoc = assoc
-        self._sets: List[List[int]] = [[] for _ in range(self.n_sets)]
-        self.hits = 0
-        self.misses = 0
-
-    def reset(self) -> None:
-        """Drop all BTB entries and zero the hit/miss counters."""
-        self._sets = [[] for _ in range(self.n_sets)]
-        self.hits = 0
-        self.misses = 0
+        super().__init__(entries, assoc, line_bytes=1024)
 
     def access(self, pc: int) -> bool:
         """Look up a branch PC; misses allocate (LRU) and cost a bubble."""
-        key = pc >> 2
-        ways = self._sets[key % self.n_sets]
-        if key in ways:
-            ways.remove(key)
-            ways.append(key)
-            self.hits += 1
-            return True
-        self.misses += 1
-        if len(ways) >= self.assoc:
-            ways.pop(0)
-        ways.append(key)
-        return False
+        return super().access(pc >> 2)

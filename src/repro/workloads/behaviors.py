@@ -132,12 +132,6 @@ class BurstyBehavior(Behavior):
         if self.mean_burst < 1.0:
             raise ValueError("mean_burst must be at least 1")
 
-    @property
-    def common_fraction(self) -> float:
-        """Long-run fraction of executions taking the common direction."""
-        burst = self.excursion_rate * self.mean_burst
-        return 1.0 / (1.0 + burst)
-
     def outcome(self, history: int, u: float) -> bool:
         """Direction from the burst phase (mostly-taken vs mostly-not)."""
         if self._remaining > 0:

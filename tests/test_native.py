@@ -5,7 +5,8 @@ library) is enforced by tests/test_vector_equivalence.py; this suite
 covers the machinery around it — compile/cache/load, the one kernel
 registry, each compiled column builder and walk against the scalar
 definition it replaces (the generator's outcome pass, the hint buffer's
-LRU walk and the FDIP merge among them), the one entrance to the fast
+LRU walk, the loop table's trip limit and the FDIP merge among them),
+the one entrance to the fast
 path (with no C toolchain every call runs its scalar definition end to
 end, after a single warning that names the entry point's caller,
 byte-identical), the one cache of
@@ -31,6 +32,7 @@ from repro.analysis import kernel_bench
 from repro.bpu import native, runner, vector
 from repro.bpu.base import FoldedHistory
 from repro.bpu.corrector import StatisticalCorrector
+from repro.bpu.loop import _TRIP_LIMIT
 from repro.bpu.mtage import MTageScPredictor
 from repro.bpu.perceptron import PerceptronPredictor
 from repro.bpu.runner import (
@@ -290,6 +292,12 @@ class TestLruWalk:
         hit = native.lru_walk(np.array(pcs, dtype=np.int64) >> 2, n_sets, assoc)
         assert hit.tolist() == want
         assert len(pcs) - int(hit.sum()) == btb.misses
+
+    @pytest.mark.parametrize("n_sets, assoc", [(0, 2), (2, 0)])
+    def test_geometry_without_ways_is_refused(self, n_sets, assoc):
+        # Either would divide by zero or overrun the ways in C.
+        with pytest.raises(ValueError):
+            native.lru_walk(np.arange(8, dtype=np.int64), n_sets, assoc)
 
 
 #: Short branch streams: (pc, taken) pairs.  Histories below reach past
@@ -609,6 +617,57 @@ class TestHintWalk:
         assert list(zip(final_pcs.tolist(), final_loads.tolist())) == list(
             buffer._entries.items()
         )
+
+
+class TestLoopTable:
+    """The compiled loop predictor's table: it forgets a branch taken
+    more than ``_TRIP_LIMIT`` times in a row, as ``LoopPredictor.update``
+    does, and the kernel refuses what its walk cannot start from."""
+
+    def test_entry_past_the_limit_is_dropped(self, tiny_program):
+        first, second, third = np.flatnonzero(tiny_program.is_conditional)[:3].tolist()
+        # Never taken at first, so the first branch enters the table on a
+        # TAGE miss; then taken past the limit, the others now and then.
+        blocks, taken = [first, second, third] * 40, [False, True, False] * 40
+        for run in range(1, _TRIP_LIMIT + 5):
+            blocks.append(first)
+            taken.append(True)
+            if run == _TRIP_LIMIT:
+                at_limit = len(blocks)
+            if run % 500 == 0:
+                blocks += [second, third]
+                taken += [True, False]
+        trace = Trace(
+            program=tiny_program, block_ids=np.array(blocks, np.int32), taken=np.array(taken)
+        )
+        pc = int(tiny_program.branch_pcs[first])
+
+        def replay(events, kernel):
+            predictor = TageScLPredictor(16)
+            correct = simulate(events, predictor, kernel=kernel).correct
+            table = [(key, e.trip, e.count, e.conf) for key, e in predictor.loop._table.items()]
+            return correct.tolist(), table
+
+        before, after = trace.slice(0, at_limit), trace
+        scalar_before, scalar_after = replay(before, "scalar"), replay(after, "scalar")
+        assert replay(before, None) == scalar_before
+        assert replay(after, None) == scalar_after
+        assert (pc, 0, _TRIP_LIMIT, 0) in scalar_before[1]
+        assert pc not in [row[0] for row in scalar_after[1]]
+
+    @pytest.mark.parametrize("stale", [True, False])
+    def test_kernel_refuses_what_the_walk_cannot_start_from(self, tiny_program, stale):
+        block = int(np.flatnonzero(tiny_program.is_conditional)[-1])
+        predictor = TageScLPredictor(16)
+        if stale:  # an entry left from an earlier replay
+            predictor.loop.update(0x40, taken=False, tage_mispredicted=True)
+        else:  # a negative block id still indexes the program's columns
+            block -= tiny_program.n_blocks
+        trace = Trace(program=tiny_program, block_ids=[block], taken=[True])
+        no = np.zeros(1, dtype=bool)
+        match = "empty loop table" if stale else "outside the program"
+        with pytest.raises(ValueError, match=match):
+            native._native_tage_family(predictor, runner._get_batch(trace), no, no, True)
 
 
 class TestFdipMerge:
