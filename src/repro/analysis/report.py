@@ -68,10 +68,14 @@ the lower absolute hint overheads, both direct consequences of profile
 scale.
 
 **Training seconds.**  Fig 15's and Fig 16's seconds columns time this
-implementation.  Its batched formula search scores every (branch,
-history length) row at once and costs nearly the same at 0.1 % and at
-100 % exploration, so those columns do not show the paper's ~10× gap;
-Fig 16's modelled work units are unchanged and carry the comparison.
+implementation, not the paper's, and move with the host's load from run
+to run.  The exhaustive search runs compiled, so a cold `small` run on
+a 2-core host reads about 0.03 s per app at 0.1 % exploration and
+0.065 s at 100 % in Fig 15: a ~2× gap, not the paper's ~10×, because
+each app's training tables now cost about as much as its exhaustive
+search.  The 10 % row, which scores 3,277 candidates' truth tables in
+NumPy, costs more than the 100 % row.  Fig 16's modelled work units
+(explored formulas × distinct hash keys) carry the cost comparison.
 
 **Regenerating.**  `REPRO_SCALE` (`small`/`medium`/`full`) selects the
 trace length per application.  `python -m repro.cli run-all --jobs N`

@@ -12,8 +12,11 @@
  * replay entry point then runs the sequential state-update core of one
  * predictor family over those SoA columns; lru_walk runs the timing
  * model's I-cache and BTB LRU state and fdip_merge charges its I-cache
- * stalls against the squashes (repro.sim.simulator).  Every entry point
- * must stay bit-identical to the scalar reference implementation —
+ * stalls against the squashes (repro.sim.simulator).  split_search and
+ * split_winners run the formula search's root split over the whole op
+ * space of 8-input formulas: each training row's extreme dot products,
+ * and Algorithm 1's earliest winner (repro.core.search).  Every entry
+ * point must stay bit-identical to the scalar reference implementation —
  * enforced by the scalar/native equivalence suite and by
  * tests/test_native.py's per-entry-point checks.
  *
@@ -784,4 +787,194 @@ void fdip_merge(
     }
     stalls_out[0] = stalls;
     covered_out[0] = covered;
+}
+
+/* ------------------------------------------------------------------ */
+/* Formula search's root split (core/search.py _RootSplit) for 8-input  */
+/* formulas.  A row of d = nt - t over the 256 hashed histories is       */
+/* D[hi][lo]: lo, the low nibble, feeds the left subtree (subformula a,  */
+/* output x) and hi the right one (subformula b, output y).  With S[a]   */
+/* a subformula's truth table over one nibble, one, x[a], y[b] and       */
+/* xy[a][b] are the dot products of d with 1, x, y and x*y, and root op  */
+/* r's dot product at (a, b) is its coefficient row coef[r] = (one, x,   */
+/* y, xy) applied to them.  mask[h][b] is -S[b][h] (all ones or zero)    */
+/* over SPLIT_SUB columns; a space of n_sub < SPLIT_SUB subformulas pads */
+/* the columns with copies of subformula 0, which repeat existing dot    */
+/* products and so leave every extreme as it is, while a runs over the   */
+/* n_sub real ones.  Every loop over b or a nibble has a fixed extent,   */
+/* so the compiler vectorizes it.  native.py keeps n_sub within          */
+/* 1..SPLIT_SUB, every |d| at most 2**52, each row's sample totals at    */
+/* most 2**60 in size and each coefficient row to the forms of the four  */
+/* ops (xy = +-1, x = 0 or -xy, one and y within -1..1), so no sum below */
+/* overflows an int64.                                                   */
+/* ------------------------------------------------------------------ */
+
+#define SPLIT_W 16             /* values of one history nibble */
+#define SPLIT_SUB 64           /* subformulas of a nibble, padded */
+
+/* min and max without a branch, which the vectorizer takes; exact      */
+/* while a - b stays inside an int64.                                   */
+static inline int64_t lesser(int64_t a, int64_t b)
+{
+    const int64_t diff = a - b;
+    return b + (diff & -(int64_t)((uint64_t)diff >> 63));
+}
+
+static inline int64_t greater(int64_t a, int64_t b)
+{
+    const int64_t diff = a - b;
+    return a - (diff & -(int64_t)((uint64_t)diff >> 63));
+}
+
+typedef struct {
+    int64_t one, x[SPLIT_SUB], y[SPLIT_SUB], xy[SPLIT_SUB][SPLIT_SUB];
+} Split;
+
+/* The bilinear terms of one row, xy for a < n_sub.  Column lo adds     */
+/* subformula b's dot product with it, p[b], to every xy[a] whose       */
+/* subformula a is true at lo; all-zero keys and columns add nothing    */
+/* and are skipped.                                                     */
+static void split_row(const int64_t *restrict d, int64_t n_sub,
+                      const int64_t (*restrict mask)[SPLIT_SUB],
+                      Split *restrict s)
+{
+    int64_t rowsum[SPLIT_W] = {0}, colsum[SPLIT_W] = {0};
+    for (int64_t a = 0; a < n_sub; a++)
+        for (int b = 0; b < SPLIT_SUB; b++) s->xy[a][b] = 0;
+    for (int lo = 0; lo < SPLIT_W; lo++) {
+        int64_t p[SPLIT_SUB] = {0};
+        int live = 0;
+        for (int hi = 0; hi < SPLIT_W; hi++) {
+            const int64_t v = d[SPLIT_W * hi + lo];
+            if (v == 0) continue;
+            live = 1;
+            rowsum[hi] += v;
+            colsum[lo] += v;
+            for (int b = 0; b < SPLIT_SUB; b++) p[b] += mask[hi][b] & v;
+        }
+        if (!live) continue;
+        for (int64_t a = 0; a < n_sub; a++) {
+            if (!mask[lo][a]) continue;
+            for (int b = 0; b < SPLIT_SUB; b++) s->xy[a][b] += p[b];
+        }
+    }
+    /* x over the left subformulas and y over the right ones: one mask. */
+    s->one = 0;
+    for (int k = 0; k < SPLIT_SUB; k++) s->x[k] = s->y[k] = 0;
+    for (int h = 0; h < SPLIT_W; h++) {
+        s->one += rowsum[h];
+        for (int k = 0; k < SPLIT_SUB; k++) {
+            s->x[k] += mask[h][k] & colsum[h];
+            s->y[k] += mask[h][k] & rowsum[h];
+        }
+    }
+}
+
+/* The least and greatest dot product over every root, a and b.  Per    */
+/* column b, one sweep over a takes the extremes of xy and of xy - x[a]: */
+/* a root with x = 0 reads the first, one with x = -xy the second, and   */
+/* xy = -1 swaps and negates them.                                       */
+static void split_extremes(const Split *restrict s, int64_t n_sub,
+                           int64_t n_roots, const int64_t *restrict coef,
+                           int64_t *least, int64_t *most)
+{
+    int64_t lo_xy[SPLIT_SUB], hi_xy[SPLIT_SUB], lo_xyx[SPLIT_SUB], hi_xyx[SPLIT_SUB];
+    for (int b = 0; b < SPLIT_SUB; b++) {
+        lo_xy[b] = hi_xy[b] = s->xy[0][b];
+        lo_xyx[b] = hi_xyx[b] = s->xy[0][b] - s->x[0];
+    }
+    for (int64_t a = 1; a < n_sub; a++) {
+        const int64_t xa = s->x[a];
+        for (int b = 0; b < SPLIT_SUB; b++) {
+            const int64_t v = s->xy[a][b], w = v - xa;
+            lo_xy[b] = lesser(v, lo_xy[b]);
+            hi_xy[b] = greater(v, hi_xy[b]);
+            lo_xyx[b] = lesser(w, lo_xyx[b]);
+            hi_xyx[b] = greater(w, hi_xyx[b]);
+        }
+    }
+    int64_t lo = INT64_MAX, hi = INT64_MIN;
+    for (int64_t r = 0; r < n_roots; r++) {
+        const int64_t *c = coef + 4 * r;
+        const int64_t *low = c[1] != 0 ? lo_xyx : lo_xy;
+        const int64_t *high = c[1] != 0 ? hi_xyx : hi_xy;
+        for (int b = 0; b < SPLIT_SUB; b++) {
+            const int64_t base = c[0] * s->one + c[2] * s->y[b];
+            const int64_t l = base + (c[3] > 0 ? low[b] : -high[b]);
+            const int64_t h = base + (c[3] > 0 ? high[b] : -low[b]);
+            if (l < lo) lo = l;
+            if (h > hi) hi = h;
+        }
+    }
+    *least = lo;
+    *most = hi;
+}
+
+/* Each row's least and greatest dot product over the whole op space:   */
+/* Algorithm 1's minimum error is sum(t) + least over plain formulas    */
+/* and sum(nt) - greatest over inverted ones (FormulaSearch._minima).    */
+void split_search(
+    int64_t rows,
+    const int64_t *d,         /* [rows][256] nt - t                      */
+    int64_t n_sub,
+    const int64_t *mask,      /* [SPLIT_W][SPLIT_SUB]                    */
+    int64_t n_roots,
+    const int64_t *coef,      /* [n_roots][4]                            */
+    int64_t *out)             /* [rows][2] out: least, greatest          */
+{
+    const int64_t (*m)[SPLIT_SUB] = (const int64_t (*)[SPLIT_SUB])mask;
+    Split s;
+    for (int64_t i = 0; i < rows; i++) {
+        split_row(d + SPLIT_W * SPLIT_W * i, n_sub, m, &s);
+        split_extremes(&s, n_sub, n_roots, coef, out + 2 * i, out + 2 * i + 1);
+    }
+}
+
+/* Algorithm 1's winner per row (FormulaSearch.best_formulas): the      */
+/* least permutation position, over both invert values, of an encoding  */
+/* whose error (sum(t) + dot plain, sum(nt) - dot inverted) equals the  */
+/* row's minimum.  pos[v][r][a][b] is the position of op (r, a, b) with */
+/* invert value v; padded cells, and every inverted cell of a space     */
+/* without the inversion stage, hold INT64_MAX, which never wins.       */
+void split_winners(
+    int64_t rows,
+    const int64_t *d,         /* [rows][256] nt - t                      */
+    const int64_t *totals,    /* [rows][2] sum(t), sum(nt)               */
+    int64_t invert,           /* the space has the inversion stage       */
+    int64_t n_sub,
+    const int64_t *mask,      /* [SPLIT_W][SPLIT_SUB]                    */
+    int64_t n_roots,
+    const int64_t *coef,      /* [n_roots][4]                            */
+    const int64_t *pos,       /* [2][n_roots][SPLIT_SUB][SPLIT_SUB]      */
+    int64_t *out)             /* [rows] out                              */
+{
+    const int64_t (*m)[SPLIT_SUB] = (const int64_t (*)[SPLIT_SUB])mask;
+    const int64_t cells = SPLIT_SUB * SPLIT_SUB;
+    Split s;
+    for (int64_t i = 0; i < rows; i++) {
+        const int64_t tt = totals[2 * i], tnt = totals[2 * i + 1];
+        int64_t least, most;
+        split_row(d + SPLIT_W * SPLIT_W * i, n_sub, m, &s);
+        split_extremes(&s, n_sub, n_roots, coef, &least, &most);
+        int64_t best = tt + least;
+        if (invert && tnt - most < best) best = tnt - most;
+        /* The dot product of a plain and of an inverted winner. */
+        const int64_t want_plain = best - tt, want_inverted = tnt - best;
+        int64_t first = INT64_MAX;
+        for (int64_t r = 0; r < n_roots; r++) {
+            const int64_t *c = coef + 4 * r;
+            const int64_t *plain = pos + r * cells;
+            const int64_t *inverted = pos + (n_roots + r) * cells;
+            for (int64_t a = 0; a < n_sub; a++) {
+                const int64_t base = c[0] * s.one + c[1] * s.x[a];
+                for (int b = 0; b < SPLIT_SUB; b++) {
+                    const int64_t dot = base + c[2] * s.y[b] + c[3] * s.xy[a][b];
+                    const int64_t cell = SPLIT_SUB * a + b;
+                    if (dot == want_plain && plain[cell] < first) first = plain[cell];
+                    if (dot == want_inverted && inverted[cell] < first) first = inverted[cell];
+                }
+            }
+        }
+        out[i] = first;
+    }
 }

@@ -30,7 +30,10 @@ definition:
   ``predict``), driven by ``WhisperRuntime.predict_batch``;
 * :func:`lru_walk` and :func:`fdip_merge` — the timing model's I-cache
   and BTB LRU walks and its FDIP stall merge (``_timing_scalar``),
-  driven by :mod:`repro.sim.simulator`.
+  driven by :mod:`repro.sim.simulator`;
+* :func:`split_search` and :func:`split_winners` — the formula search's
+  root split over every 8-input encoding (``_RootSplit`` and the
+  NumPy argmin), driven by :class:`repro.core.search.FormulaSearch`.
 
 Backend
 -------
@@ -44,9 +47,10 @@ Every entry point here needs the library.  Callers reach them only
 through :func:`repro.bpu.runner.use_native`, the one test for the fast
 path: when the library cannot be built or loaded, :func:`load` returns
 None after a single :class:`RuntimeWarning` per process, and every call
-of replay, timing, trace generation and the training tables runs its
-scalar definition (``_simulate_scalar``, ``_timing_scalar``,
-``_walk_scalar``, ``_collect_scalar``) end to end: slower, with
+of replay, timing, trace generation, the training tables and the
+exhaustive formula search runs its scalar definition
+(``_simulate_scalar``, ``_timing_scalar``, ``_walk_scalar``,
+``_collect_scalar``, the NumPy root split) end to end: slower, with
 identical results.  The kernels registered here also name :func:`load`
 as their ``needs`` probe, so :func:`repro.bpu.runner.kernel_for`
 resolves them to None without it.
@@ -176,6 +180,10 @@ def _declare(lib: ctypes.CDLL) -> None:
     lib.hint_walk.argtypes = [i64, ptr, ptr, ptr, ptr, ptr, i64, i64, ptr, ptr, ptr, ptr]
     lib.fdip_merge.restype = None
     lib.fdip_merge.argtypes = [i64, ptr, ptr, i64, ptr, ptr, ctypes.c_double, i64, ptr, ptr]
+    lib.split_search.restype = None
+    lib.split_search.argtypes = [i64, ptr, i64, ptr, i64, ptr, ptr]
+    lib.split_winners.restype = None
+    lib.split_winners.argtypes = [i64, ptr, ptr, i64, i64, ptr, i64, ptr, ptr, ptr]
 
 
 def load() -> Optional[ctypes.CDLL]:
@@ -184,8 +192,8 @@ def load() -> Optional[ctypes.CDLL]:
     Returns None — after a single per-process warning — when no C
     compiler is available or the build/load fails; every call then runs
     its scalar definition (:func:`repro.bpu.runner.use_native`).  The
-    warning names the line that called the replay, timing, generator or
-    training entry point only when the first load goes through
+    warning names the line that called the replay, timing, generator,
+    training or search entry point only when the first load goes through
     ``use_native``; a first load from anywhere else (a direct call, a
     ``needs`` probe) is attributed three frames above ``load``.
     """
@@ -386,6 +394,101 @@ def fdip_merge(
         float(cap), int(fdip), _ptr(stalls), _ptr(covered),
     )
     return float(stalls[0]), int(covered[0])
+
+
+# ----------------------------------------------------------------------
+# Formula search: the root split of 8-input formulas
+# ----------------------------------------------------------------------
+#: Values of one history nibble and subformula columns of the compiled
+#: root split (``_replay.c``'s SPLIT_W and SPLIT_SUB).
+SPLIT_WIDTH = 16
+SPLIT_SUB = 64
+#: :func:`split_winners` position of a cell that holds no candidate.
+SPLIT_NONE = np.iinfo(np.int64).max
+#: Largest ``|nt - t|`` and row sample total the root split takes, so
+#: that every sum in it stays inside an int64.
+_SPLIT_MAX_D = 1 << 52
+_SPLIT_MAX_TOTAL = 1 << 60
+
+
+def _split_args(d, n_sub, mask, coef):
+    """Contiguous int64 ``d``, ``mask`` and ``coef`` for the compiled
+    root split, refused unless they are in the shapes and bounds
+    ``_replay.c`` documents."""
+    d = np.ascontiguousarray(d, dtype=np.int64)
+    mask = np.ascontiguousarray(mask, dtype=np.int64)
+    coef = np.ascontiguousarray(coef, dtype=np.int64)
+    if d.ndim != 2 or d.shape[1] != SPLIT_WIDTH**2:
+        raise ValueError(f"rows of {SPLIT_WIDTH**2} sample counts expected, got {d.shape}")
+    _within("subformulas", (n_sub,), 1, SPLIT_SUB)
+    if mask.shape != (SPLIT_WIDTH, SPLIT_SUB) or not np.isin(mask, (0, -1)).all():
+        raise ValueError(f"mask must be a {SPLIT_WIDTH} x {SPLIT_SUB} table of 0 and -1")
+    if coef.ndim != 2 or coef.shape[1] != 4 or not len(coef) or any(
+        abs(one) > 1 or abs(y) > 1 or abs(xy) != 1 or x not in (0, -xy)
+        for one, x, y, xy in coef.tolist()
+    ):
+        raise ValueError("coefficient rows must take the forms of the four root ops")
+    if d.size:
+        _within("nt - t", (int(d.min()), int(d.max())), -_SPLIT_MAX_D, _SPLIT_MAX_D)
+    return d, mask, coef
+
+
+def split_search(d: np.ndarray, n_sub: int, mask: np.ndarray, coef: np.ndarray) -> np.ndarray:
+    """Each row's least and greatest dot product ``f . d`` over the whole
+    op space of 8-input formulas, as a (rows, 2) int64 array.
+
+    The compiled form of :meth:`repro.core.search._RootSplit.dots`
+    reduced to its extremes: ``d`` holds rows of ``nt - t`` over the 256
+    hashed histories, ``mask`` (16 x 64) is ``-S.T`` of the ``n_sub``
+    subformulas' truth tables ``S``, its columns padded with copies of
+    subformula 0, and ``coef`` has one (one, x, y, xy) row per root op.
+    Needs the library.
+    """
+    d, mask, coef = _split_args(d, n_sub, mask, coef)
+    rows = int(d.shape[0])
+    out = np.empty((max(rows, 1), 2), dtype=np.int64)
+    load().split_search(rows, _ptr(d), n_sub, _ptr(mask), len(coef), _ptr(coef), _ptr(out))
+    return out[:rows]
+
+
+def split_winners(
+    d: np.ndarray,
+    totals: np.ndarray,
+    invert: bool,
+    n_sub: int,
+    mask: np.ndarray,
+    coef: np.ndarray,
+    positions: np.ndarray,
+) -> np.ndarray:
+    """Algorithm 1's winner per row: the least of ``positions`` over the
+    encodings whose error equals the row's minimum.
+
+    The compiled form of the argmin in
+    :meth:`repro.core.search.FormulaSearch.best_formulas`, over the whole
+    op space: ``d``, ``n_sub``, ``mask`` and
+    ``coef`` as :func:`split_search` takes them, ``totals`` each row's
+    (sum(t), sum(nt)), ``invert`` whether the space has the inversion
+    stage, and ``positions[v][r][a][b]`` (2 x roots x 64 x 64) the
+    permutation position of op (r, a, b) with invert value ``v``, or
+    :data:`SPLIT_NONE` where no candidate is.  Needs the library.
+    """
+    d, mask, coef = _split_args(d, n_sub, mask, coef)
+    totals = np.ascontiguousarray(totals, dtype=np.int64)
+    positions = np.ascontiguousarray(positions, dtype=np.int64)
+    rows = int(d.shape[0])
+    if totals.shape != (rows, 2):
+        raise ValueError(f"{totals.shape} totals for {rows} rows")
+    if positions.shape != (2, len(coef), SPLIT_SUB, SPLIT_SUB):
+        raise ValueError(f"positions of shape {positions.shape} for {len(coef)} root ops")
+    if rows:
+        bounds = (int(totals.min()), int(totals.max()))
+        _within("row sample total", bounds, -_SPLIT_MAX_TOTAL, _SPLIT_MAX_TOTAL)
+    out = np.empty(max(rows, 1), dtype=np.int64)
+    load().split_winners(
+        rows, _ptr(d), _ptr(totals), int(invert), n_sub, _ptr(mask), len(coef), _ptr(coef),
+        _ptr(positions), _ptr(out),
+    )
+    return out[:rows]
 
 
 # ----------------------------------------------------------------------

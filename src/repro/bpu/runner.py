@@ -83,9 +83,11 @@ def use_native(kernel: Optional[str]) -> bool:
     True when ``kernel`` (or, for None, the session default) resolves to
     ``native`` and the compiled library loads.  The one entrance to the
     fast path: :func:`simulate`, :func:`repro.sim.simulate_timing`,
-    :func:`repro.workloads.generator.generate_trace` and
-    :func:`repro.core.training.collect_training_data` each ask it once
-    and otherwise run their scalar definition.
+    :func:`repro.workloads.generator.generate_trace`,
+    :func:`repro.core.training.collect_training_data` and, for a search
+    over every 8-input encoding, ``FormulaSearch.search`` and
+    ``FormulaSearch.best_formulas`` (:mod:`repro.core.search`) each ask
+    it once and otherwise run their scalar definition.
     """
     if resolve_kernel(kernel) != "native":
         return False

@@ -28,19 +28,38 @@ There are two implementations:
   order) only for the rows a caller keeps.  :meth:`FormulaSearch.find_best_formula`
   is a one-row call into the same path.
 
-Small candidate sets (the paper's 0.1 %) take the dot products with the
-candidates' own truth tables.  Large ones use the **root split**: an
-``n``-input formula's op index is ``root·B^(n-2) + a·B^(n/2-1) + b``, where
-``a`` and ``b`` index the ``n/2``-leaf subtree formulas over the low and
-the high history bits.  Each root op is bilinear in its two inputs ``x``
-and ``y`` (AND = xy, OR = x + y − xy, IMPL = 1 − x + xy, CNIMPL = y − xy).
-With ``d`` reshaped to ``D[hi, lo]`` and ``S`` the subtree truth table,
-every dot product then follows from ``S·Dᵀ·Sᵀ``, the two vectors of
-subtree sums and the row total: for the paper's 8 inputs about 0.1 M
-multiply-adds per row instead of 4.2 M, with no whole-space truth table.
+Large candidate sets use the **root split**: an ``n``-input formula's op
+index is ``root·B^(n-2) + a·B^(n/2-1) + b``, where ``a`` and ``b`` index
+the ``n/2``-leaf subtree formulas over the low and the high history bits.
+Each root op is bilinear in its two inputs ``x`` and ``y`` (AND = xy,
+OR = x + y − xy, IMPL = 1 − x + xy, CNIMPL = y − xy; one coefficient row
+each in ``_BILINEAR``).  With ``d`` reshaped to ``D[hi, lo]`` and ``S``
+the subtree truth table, every dot product then follows from
+``S·Dᵀ·Sᵀ``, the two vectors of subtree sums and the row total: for the
+paper's 8 inputs about 0.1 M multiply-adds per row instead of 4.2 M,
+with no whole-space truth table.
 
-Counts are integers and every sum stays far below 2**53, so the float64
-arithmetic is exact and ties resolve exactly as in Algorithm 1.
+A call takes one of three paths:
+
+* fewer candidates than :data:`ROOT_SPLIT_SHARE` of the op space (the
+  paper's 0.1 %, and Fig 15's 1 % and 10 %): products with the
+  candidates' own truth tables, in NumPy;
+* more: the root split in NumPy (:class:`_RootSplit`), whose op-space
+  dot products are reduced over the candidates' columns;
+* every encoding a candidate over 8 inputs (``fraction=1.0``: Fig 15/16's
+  exhaustive point, Fig 14's hashed-only ROMBF point), when
+  :func:`repro.bpu.runner.use_native` holds: the root split compiled
+  (:func:`repro.bpu.native.split_search` and
+  :func:`~repro.bpu.native.split_winners`), which reduces each root's
+  bilinear form straight to the row's extremes and decodes the earliest
+  winner without a per-row op-space table.  :meth:`FormulaSearch.search`
+  and :meth:`FormulaSearch.best_formulas` each ask ``use_native`` once;
+  on the scalar tier, or with no compiled library, they run the NumPy
+  root split, which is the compiled pass's definition.
+
+Counts are integers.  The NumPy paths' sums stay far below 2**53, so
+their float64 arithmetic is exact; the compiled pass adds in int64.
+Ties resolve exactly as in Algorithm 1 on every path.
 """
 
 from __future__ import annotations
@@ -68,8 +87,8 @@ from .formulas import (
 DEFAULT_EXPLORE_FRACTION = 0.001
 
 #: Rows scored per block by :meth:`FormulaSearch.search`, and rows decoded
-#: per block by :meth:`FormulaSearch.best_formulas`.  They bound the
-#: (rows x op-space) float64 matrices held at once.
+#: per block by :meth:`FormulaSearch.best_formulas`, on the NumPy paths.
+#: They bound the (rows x op-space) float64 matrices held at once.
 SEARCH_CHUNK = 64
 DECODE_CHUNK = 16
 
@@ -83,14 +102,32 @@ ROOT_SPLIT_SHARE = 0.25
 BIAS_NAMES: Tuple[Optional[str], ...] = (None, "taken", "not-taken")
 
 #: Each root op as a bilinear form in its subtree outputs ``x`` (left, low
-#: bits) and ``y`` (right): ``one``, ``x``, ``y`` and ``xy`` stand for the
-#: same linear functional applied to 1, x, y and x·y.
+#: bits) and ``y`` (right): its coefficients of 1, x, y and x·y.
+#: :meth:`_RootSplit.dots`, :meth:`_RootSplit.truth_rows` and the compiled
+#: root split (:func:`repro.bpu.native.split_search`) all read these rows.
 _BILINEAR = {
-    AND: lambda one, x, y, xy: xy,
-    OR: lambda one, x, y, xy: x + y - xy,
-    IMPL: lambda one, x, y, xy: one - x + xy,
-    CNIMPL: lambda one, x, y, xy: y - xy,
+    AND: (0, 0, 0, 1),  # xy
+    OR: (0, 1, 1, -1),  # x + y - xy
+    IMPL: (1, -1, 0, 1),  # 1 - x + xy
+    CNIMPL: (0, 0, 1, -1),  # y - xy
 }
+
+
+def _bilinear(op: int, one, x, y, xy):
+    """Root op ``op``'s form applied to the terms ``one``, ``x``, ``y``
+    and ``xy`` (one linear functional of 1, x, y and x·y).  Every
+    coefficient is -1, 0 or 1, so each term is added or subtracted."""
+    total = None
+    for c, term in zip(_BILINEAR[op], (one, x, y, xy)):
+        if not c:
+            continue
+        if total is None:
+            total = term if c > 0 else -term
+        elif c > 0:
+            total = total + term
+        else:
+            total = total - term
+    return total
 
 
 def fisher_yates_permutation(n: int, seed: int = 0x5A17) -> np.ndarray:
@@ -176,7 +213,7 @@ class _RootSplit:
         one = grid.sum(axis=(1, 2))[:, None, None]
         out = np.empty((rows, len(self.ops), self.n_sub, self.n_sub))
         for root, op in enumerate(self.ops):
-            out[:, root] = _BILINEAR[op](one, x, y, xy)
+            out[:, root] = _bilinear(op, one, x, y, xy)
         return out.reshape(rows, self.n_ops)
 
     def truth_rows(self, op_index: np.ndarray) -> np.ndarray:
@@ -189,7 +226,7 @@ class _RootSplit:
         out = np.empty_like(x)
         for digit, op in enumerate(self.ops):
             pick = root == digit
-            out[pick] = _BILINEAR[op](1.0, x[pick], y[pick], x[pick] * y[pick])
+            out[pick] = _bilinear(op, 1.0, x[pick], y[pick], x[pick] * y[pick])
         return out
 
 
@@ -256,6 +293,10 @@ class FormulaSearch:
                 _selector(self._op_index[self._invert == invert], self._split.n_ops)
                 for invert in (False, True)
             ]
+        #: Whether the compiled root split serves this search: 8 inputs,
+        #: and every encoding a candidate.
+        self._compiled = n_inputs == 8 and n_candidates == self.space_size
+        self._kernel: Optional[Tuple] = None
 
     @property
     def candidates(self) -> np.ndarray:
@@ -274,6 +315,42 @@ class FormulaSearch:
         total_taken = t.sum(axis=1)[:, None]
         total_nottaken = nt.sum(axis=1)[:, None]
         return np.where(self._invert, total_nottaken - dots, total_taken + dots)
+
+    def _kernel_tables(self) -> Tuple:
+        """``(n_sub, mask, coef, positions)`` for the compiled root split
+        (:func:`repro.bpu.native.split_search`), built on its first call:
+        the subtree truth tables as a mask whose columns past ``n_sub``
+        copy subformula 0, the root ops' coefficient rows, and each op
+        cell's permutation position per invert value, padded with
+        :data:`~repro.bpu.native.SPLIT_NONE`."""
+        if self._kernel is None:
+            from ..bpu import native
+
+            pad, n_sub = native.SPLIT_SUB, self._split.n_sub
+            n_roots, n_invert = len(self.ops_allowed), 1 + self.with_invert
+            columns = np.r_[np.arange(n_sub), np.zeros(pad - n_sub, dtype=np.int64)]
+            mask = -self._split.sub[columns].T.astype(np.int64)
+            coef = np.array([_BILINEAR[op] for op in self.ops_allowed], dtype=np.int64)
+            order = np.empty(self.space_size, dtype=np.int64)
+            order[self._candidates] = np.arange(self.space_size)
+            positions = np.full((2, n_roots, pad, pad), native.SPLIT_NONE, dtype=np.int64)
+            positions[:n_invert, :, :n_sub, :n_sub] = np.moveaxis(
+                order.reshape(n_roots, n_sub, n_sub, n_invert), -1, 0
+            )
+            self._kernel = (n_sub, mask, coef, positions)
+        return self._kernel
+
+    def _compiled_minima(self, t: np.ndarray, nt: np.ndarray) -> np.ndarray:
+        """:meth:`_minima` over the whole encoding space, from the
+        compiled root split's extreme dot products."""
+        from ..bpu import native
+
+        n_sub, mask, coef, _ = self._kernel_tables()
+        least, most = native.split_search(nt - t, n_sub, mask, coef).T
+        best = t.sum(axis=1) + least
+        if self.with_invert:
+            best = np.minimum(best, nt.sum(axis=1) - most)
+        return best
 
     def _minima(self, t: np.ndarray, nt: np.ndarray) -> np.ndarray:
         """Each row's minimum misprediction count over the candidates."""
@@ -298,13 +375,18 @@ class FormulaSearch:
         a strict improvement, matching Algorithm 1's strict ``<`` update
         rule applied after the scan.
         """
+        from ..bpu.runner import use_native
+
         t = np.asarray(taken)
         nt = np.asarray(nottaken)
         rows = len(t)
-        mispredictions = np.empty(rows, dtype=np.int64)
-        for lo in range(0, rows, SEARCH_CHUNK):
-            hi = lo + SEARCH_CHUNK
-            mispredictions[lo:hi] = self._minima(t[lo:hi], nt[lo:hi])
+        if self._compiled and use_native(None):
+            mispredictions = self._compiled_minima(t, nt)
+        else:
+            mispredictions = np.empty(rows, dtype=np.int64)
+            for lo in range(0, rows, SEARCH_CHUNK):
+                hi = lo + SEARCH_CHUNK
+                mispredictions[lo:hi] = self._minima(t[lo:hi], nt[lo:hi])
         bias = np.zeros(rows, dtype=np.int8)
         if self.include_bias:
             for code, other_total in ((1, nt.sum(axis=1)), (2, t.sum(axis=1))):
@@ -322,12 +404,23 @@ class FormulaSearch:
     def best_formulas(self, taken: np.ndarray, nottaken: np.ndarray) -> List[FormulaTree]:
         """Algorithm 1's winning formula for each row: the earliest
         candidate, in permutation order, with the row's minimum error."""
+        from ..bpu.runner import use_native
+
         t = np.asarray(taken)
         nt = np.asarray(nottaken)
-        positions: List[int] = []
-        for lo in range(0, len(t), DECODE_CHUNK):
-            hi = lo + DECODE_CHUNK
-            positions += np.argmin(self._errors(t[lo:hi], nt[lo:hi]), axis=1).tolist()
+        if self._compiled and use_native(None):
+            from ..bpu import native
+
+            n_sub, mask, coef, table = self._kernel_tables()
+            totals = np.stack([t.sum(axis=1), nt.sum(axis=1)], axis=1)
+            positions = native.split_winners(
+                nt - t, totals, self.with_invert, n_sub, mask, coef, table
+            ).tolist()
+        else:
+            positions = []
+            for lo in range(0, len(t), DECODE_CHUNK):
+                hi = lo + DECODE_CHUNK
+                positions += np.argmin(self._errors(t[lo:hi], nt[lo:hi]), axis=1).tolist()
         return [
             formula_from_index(
                 int(self._op_index[p]), bool(self._invert[p]), self.n_inputs, self.ops_allowed

@@ -39,7 +39,7 @@ def run(ctx: ExperimentContext) -> FigureResult:
             reductions.append(run_result.misprediction_reduction(base))
             times.append(trained.training_seconds)
         row_red = mean(reductions)
-        rows.append([f"{100*fraction:g}%", round(row_red, 1), round(mean(times), 2)])
+        rows.append([f"{100*fraction:g}%", round(row_red, 1), round(mean(times), 3)])
         if fraction == 1.0:
             full_reduction = row_red
     quality = (

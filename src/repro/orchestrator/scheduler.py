@@ -359,7 +359,11 @@ class LocalPoolBackend(ExecutionBackend):
     name = "local"
 
     def __init__(self, jobs: int) -> None:
-        import numpy.random  # noqa: F401 — forked attempts inherit it, not import it each
+        # Forked attempts inherit these instead of each importing them on
+        # first use: numpy.random on a task's first default_rng, numpy.ma
+        # (~17 ms) on its first np.unique or np.isin.
+        import numpy.ma  # noqa: F401
+        import numpy.random  # noqa: F401
 
         self.jobs = max(1, int(jobs))
         self._mp = multiprocessing.get_context()

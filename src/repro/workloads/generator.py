@@ -34,8 +34,9 @@ behaviour is one of the six kinds that pass resolves; otherwise (the
 
 The module keeps built programs and, weakly, generated traces: a trace
 is shared while some caller holds it.  What it derives from a program
-alone (the request and function geometry, the packed behaviours) lives
-in :attr:`Program.derived <repro.workloads.program.Program.derived>`.
+alone (the request and function geometry, the packed behaviours, each
+input's drift draw) lives in
+:attr:`Program.derived <repro.workloads.program.Program.derived>`.
 """
 
 from __future__ import annotations
@@ -100,10 +101,17 @@ def _drifted_behaviors(program: Program, input_id: int) -> Dict[int, BiasedBehav
     structural (e.g. error checks) and stay put across inputs.  Input 0 is
     the canonical profile-collection input and never drifts, so
     "profile-from-the-same-input" runs are exactly reproducible.
+
+    Each input's draw is made once per program and kept in
+    :attr:`Program.derived`; every caller shares the returned dict (no
+    walk writes a behaviour) and must copy it before changing it.
     """
     spec = program.spec
     if input_id == 0 or spec.drift <= 0.0:
         return {}
+    drifts = program.derived.setdefault("drift", {})
+    if input_id in drifts:
+        return drifts[input_id]
     rng = _input_rng(spec, input_id, salt=1)
     overrides: Dict[int, object] = {}
     for block, behavior in enumerate(program.behaviors):
@@ -118,6 +126,7 @@ def _drifted_behaviors(program: Program, input_id: int) -> Dict[int, BiasedBehav
                 overrides[block] = BurstyBehavior(
                     common=behavior.common, excursion_rate=rate, mean_burst=mean_burst
                 )
+    drifts[input_id] = overrides
     return overrides
 
 
@@ -533,9 +542,8 @@ def generate_trace(
 
     program = get_program(spec)
     overrides = _drifted_behaviors(program, input_id)
-
     if behavior_overrides:
-        overrides.update(behavior_overrides)
+        overrides = {**overrides, **behavior_overrides}
     behaviors = list(program.behaviors)
     for block, replacement in overrides.items():
         behaviors[block] = replacement

@@ -20,6 +20,7 @@ from repro.workloads.generator import (
     get_program,
     merged_traces,
 )
+from repro.workloads.drifting import generate_drifting_trace
 from repro.workloads.registry import get_spec
 
 
@@ -62,6 +63,19 @@ class TestDrift:
                 assert replacement.common == original.common
             else:
                 assert isinstance(replacement, BiasedBehavior)
+
+    def test_drifting_trace_leaves_the_input_drift_alone(self, tiny_spec, tiny_program):
+        # The input's drift draw is shared through Program.derived; a
+        # drifting trace rotates branch models on top of it, and none of
+        # its rotations may reach a plain trace of the same input.
+        drift = dict(_drifted_behaviors(tiny_program, 1))
+        fresh = generate_trace(tiny_spec, 1, 6_000, use_cache=False)
+        drifting = generate_drifting_trace(tiny_spec, 1, 6_000, n_phases=3, drift_fraction=0.5)
+        assert any(drifting.rotated_pcs)
+        after = generate_trace(tiny_spec, 1, 6_000, use_cache=False)
+        assert _drifted_behaviors(tiny_program, 1) == drift
+        assert after.block_ids.tobytes() == fresh.block_ids.tobytes()
+        assert after.taken.tobytes() == fresh.taken.tobytes()
 
     def test_zero_drift_spec(self):
         from dataclasses import replace

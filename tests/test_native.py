@@ -5,7 +5,8 @@ library) is enforced by tests/test_vector_equivalence.py; this suite
 covers the machinery around it — compile/cache/load, the one kernel
 registry, each compiled column builder and walk against the scalar
 definition it replaces (the generator's outcome pass, the hint buffer's
-LRU walk, the loop table's trip limit and the FDIP merge among them),
+LRU walk, the loop table's trip limit, the FDIP merge and the formula
+search's root split among them),
 the one entrance to the fast
 path (with no C toolchain every call runs its scalar definition end to
 end, after a single warning that names the entry point's caller,
@@ -19,9 +20,12 @@ import copy
 import dataclasses
 import gc
 import math
+import os
 import random
 import warnings
 import weakref
+from functools import lru_cache
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -46,8 +50,9 @@ from repro.bpu.simple import GSharePredictor
 from repro.bpu.tage import TagePredictor
 from repro.bpu.tage_sc_l import TageScLPredictor
 from repro.core import training
-from repro.core.formulas import FormulaTree
+from repro.core.formulas import ROMBF_OPS, WHISPER_OPS, FormulaTree, all_formula_table
 from repro.core.hint_buffer import HintBuffer
+from repro.core.search import FormulaSearch, decode_candidates
 from repro.profiling.trace import Trace
 from repro.sim import simulate_timing, simulator
 from repro.sim.caches import BranchTargetBuffer, SetAssociativeCache
@@ -65,6 +70,8 @@ from repro.workloads.behaviors import (
 )
 from repro.workloads.generator import _HISTORY_MASK, _Models, _Unpackable, generate_trace
 from repro.workloads.registry import get_spec
+
+from .test_search import count_rows
 
 N_EVENTS = 8_000
 
@@ -113,16 +120,21 @@ class TestFallback:
         assert len(ours) == 1
 
     @pytest.mark.parametrize(
-        "entry", ["simulate", "simulate_timing", "generate_trace", "collect_training_data"]
+        "entry",
+        ["simulate", "simulate_timing", "generate_trace", "collect_training_data", "search"],
     )
     def test_warning_names_the_caller(self, entry, tiny_spec, tiny_trace, no_native):
         short = tiny_trace.slice(0, 2_000)
+        rows = np.ones((1, 256), dtype=np.int64)
         calls = {
             "simulate": lambda: simulate(short, GSharePredictor()),
             "simulate_timing": lambda: simulate_timing(short),
             "generate_trace": lambda: generate_trace(tiny_spec, 1, 2_000, use_cache=False),
             "collect_training_data": lambda: training.collect_training_data(
                 [short], np.unique(short.pcs[short.is_conditional])[:4]
+            ),
+            "search": lambda: FormulaSearch(8, ROMBF_OPS, False, fraction=1.0).search(
+                rows, rows
             ),
         }
         with warnings.catch_warnings(record=True) as caught:
@@ -696,6 +708,119 @@ class TestFdipMerge:
         scalar = _timing_scalar(trace, mispredicted, inputs, config, fdip, False)
         assert sparse == scalar
         assert sparse[1] > 0  # the small L1i missed
+
+
+@lru_cache(maxsize=None)
+def exhaustive_search(ops, with_invert, include_bias):
+    """A search over every 8-input encoding: the compiled root split's
+    scope."""
+    return FormulaSearch(
+        8, ops, with_invert, fraction=1.0, include_bias=include_bias, seed=11
+    )
+
+
+def numpy_root_split(search, t, nt):
+    """``search``'s results on its NumPy root split (the scalar tier)."""
+    with mock.patch.dict(os.environ, {"REPRO_KERNEL": "scalar"}):
+        return search.search(t, nt), search.best_formulas(t, nt)
+
+
+SPACES = [(WHISPER_OPS, True), (ROMBF_OPS, False)]
+
+
+class TestRootSplitKernel:
+    """The compiled root split (``split_search``, ``split_winners``)
+    against the NumPy root split it compiles, over the whole op space of
+    Whisper's and ROMBF's 8-input formulas."""
+
+    @given(
+        space=st.sampled_from(SPACES),
+        include_bias=st.booleans(),
+        rows=st.lists(count_rows(8, 256), min_size=1, max_size=6),
+    )
+    # nt > t on every key: every formula's dot product is positive, so a
+    # padded cell that is not a real formula would read lower.
+    @example(
+        space=SPACES[1], include_bias=False, rows=[(np.zeros(256, np.int64), np.arange(1, 257))]
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_the_numpy_root_split(self, space, include_bias, rows):
+        search = exhaustive_search(*space, include_bias)
+        t = np.stack([row[0] for row in rows])
+        nt = np.stack([row[1] for row in rows])
+        (want, want_bias), want_formulas = numpy_root_split(search, t, nt)
+        got, got_bias = search.search(t, nt)
+        assert search._kernel is not None  # the compiled pass ran
+        assert got.tolist() == want.tolist()
+        assert got_bias.tolist() == want_bias.tolist()
+        assert search.best_formulas(t, nt) == want_formulas
+
+    @pytest.mark.parametrize("space", SPACES)
+    def test_tied_row_decodes_to_the_first_candidate(self, space):
+        # t == nt on every key: every encoding makes the same errors.
+        t = np.zeros((2, 256), dtype=np.int64)
+        t[0, [3, 77, 200]] = [5, 1, 9]
+        t[1] = np.arange(256)
+        search = exhaustive_search(*space, False)
+        first = decode_candidates(search.candidates[:1], 8, *space)[0]
+        assert search.best_formulas(t, t.copy()) == [first, first]
+        assert numpy_root_split(search, t, t.copy())[1] == [first, first]
+
+    @pytest.mark.parametrize("space", SPACES)
+    def test_exact_at_the_count_bound(self, space):
+        # Every key at the largest |nt - t| the kernel takes: each
+        # formula's dot product is the bound times its true histories.
+        ops, with_invert = space
+        bound = 1 << 52
+        search = exhaustive_search(ops, with_invert, False)
+        n_sub, mask, coef, positions = search._kernel_tables()
+        ones = all_formula_table(8, ops).sum(axis=1)
+        d = np.full((1, 256), bound, dtype=np.int64)
+        extremes = native.split_search(d, n_sub, mask, coef)
+        assert extremes.tolist() == [[bound * int(ones.min()), bound * int(ones.max())]]
+        with pytest.raises(ValueError, match="nt - t"):
+            native.split_search(d + 1, n_sub, mask, coef)
+        with pytest.raises(ValueError, match="nt - t"):
+            native.split_search(-d - 1, n_sub, mask, coef)
+        totals = np.array([[0, 256 * bound]], dtype=np.int64)
+        (position,) = native.split_winners(d, totals, with_invert, n_sub, mask, coef, positions)
+        encodings = search.candidates
+        op, inverted = (encodings >> 1, encodings & 1) if with_invert else (encodings, 0)
+        errors = np.where(inverted, 256 * bound - bound * ones[op], bound * ones[op])
+        assert position == int(np.argmin(errors))
+        with pytest.raises(ValueError, match="row sample total"):
+            native.split_winners(d, totals * 2, with_invert, n_sub, mask, coef, positions)
+
+    def test_tables_outside_the_kernel_are_refused(self):
+        search = exhaustive_search(WHISPER_OPS, True, False)
+        n_sub, mask, coef, positions = search._kernel_tables()
+        d = np.zeros((1, 256), dtype=np.int64)
+        bad = {
+            "rows of 256": (d[:, :128], n_sub, mask, coef),
+            "subformulas": (d, 65, mask, coef),
+            "table of 0 and -1": (d, n_sub, mask * 2, coef),
+            "four root ops": (d, n_sub, mask, coef * 2),
+        }
+        for match, args in bad.items():
+            with pytest.raises(ValueError, match=match):
+                native.split_search(*args)
+        totals = np.zeros((1, 2), dtype=np.int64)
+        with pytest.raises(ValueError, match="positions"):
+            native.split_winners(d, totals, True, n_sub, mask, coef, positions[:, :2])
+
+    def test_scalar_tier_runs_the_numpy_root_split(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the compiled root split ran")
+
+        monkeypatch.setattr(native, "split_search", refuse)
+        monkeypatch.setattr(native, "split_winners", refuse)
+        monkeypatch.setenv("REPRO_KERNEL", "scalar")
+        search = FormulaSearch(8, ROMBF_OPS, False, fraction=1.0)
+        t = np.zeros((1, 256), dtype=np.int64)
+        t[0, 9] = 3
+        search.search(t, t[::-1].copy())
+        search.best_formulas(t, t[::-1].copy())
+        assert search._kernel is None
 
 
 class TestKernelNameSingleSource:
